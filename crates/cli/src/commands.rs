@@ -197,8 +197,8 @@ fn input_is_v2_store(args: &Args) -> Result<bool, ArgError> {
 pub(crate) enum GraphSource {
     /// In-memory CSR (text edge lists, v1 stores, or `--load-full true`).
     Memory(DiGraph),
-    /// mmap-backed random access into a v2 store; only O(n) state plus a
-    /// bounded row cache stays resident.
+    /// mmap-backed random access into a v2 store; only O(n) state stays
+    /// resident.
     Access(std::sync::Arc<ssr_store::RandomAccessStore>),
 }
 
@@ -263,16 +263,15 @@ pub(crate) fn load_graph_full_required(args: &Args, what: &str) -> Result<DiGrap
     load_graph(args)
 }
 
-/// The `# memory:` accounting line (engine kernels + graph backing +
-/// store row cache), printed when `--memory true` is given.
+/// The `# memory:` accounting line (engine kernels + graph backing),
+/// printed when `--memory true` is given.
 fn memory_line(engine_bytes: usize, source: &GraphSource) -> String {
-    let (backing, cache) = match source {
-        GraphSource::Memory(_) => ("csr", 0),
-        GraphSource::Access(s) => ("store", s.cache_budget_bytes()),
+    let backing = match source {
+        GraphSource::Memory(_) => "csr",
+        GraphSource::Access(_) => "store",
     };
     format!(
-        "# memory: backing={backing} engine_bytes={engine_bytes} graph_bytes={} \
-         cache_budget_bytes={cache}\n",
+        "# memory: backing={backing} engine_bytes={engine_bytes} graph_bytes={}\n",
         source.graph_bytes()
     )
 }
@@ -918,7 +917,11 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("fig1.txt");
         let g = ssr_gen::fixtures::figure1_graph();
-        std::fs::write(&path, gio::to_edge_list_string(&g)).unwrap();
+        // Tests run in parallel and share this file: write a private copy
+        // and rename it into place, so no reader ever sees it half written.
+        let staged = dir.join(format!("fig1.{:?}.tmp", std::thread::current().id()));
+        std::fs::write(&staged, gio::to_edge_list_string(&g)).unwrap();
+        std::fs::rename(&staged, &path).unwrap();
         path.to_string_lossy().into_owned()
     }
 
@@ -1495,7 +1498,8 @@ mod tests {
         let on_store =
             run("query", &toks(&format!("--input {ssg} --node 8 --memory true"))).unwrap();
         assert!(on_store.contains("# memory: backing=store"), "{on_store}");
-        assert!(on_store.contains("cache_budget_bytes="), "{on_store}");
+        assert!(on_store.contains(" graph_bytes="), "{on_store}");
+        assert!(!on_store.contains("cache"), "{on_store}");
         let on_text =
             run("query", &toks(&format!("--input {text} --node 8 --memory true"))).unwrap();
         assert!(on_text.contains("# memory: backing=csr"), "{on_text}");

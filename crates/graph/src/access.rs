@@ -58,8 +58,8 @@ pub trait NeighborAccess: Send + Sync {
     }
 
     /// Bytes this backing holds resident in memory right now (CSR arrays
-    /// for an in-memory graph; index + degree arrays + decode cache for a
-    /// store-backed reader — *not* the mapped file, which the OS pages).
+    /// for an in-memory graph; index + degree arrays for a store-backed
+    /// reader — *not* the mapped file, which the OS pages).
     fn resident_bytes(&self) -> usize;
 }
 

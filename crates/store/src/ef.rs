@@ -86,6 +86,28 @@ impl EliasFano {
         (hi << self.l) | self.lower_bits(i)
     }
 
+    /// The pair `(get(i), get(i + 1))` — the byte range of block `i` when
+    /// the sequence is an offset index — with a single select: element
+    /// `i + 1`'s high bits come from the next set bit of `upper`.
+    ///
+    /// # Panics
+    /// If `i + 1 >= len()`.
+    pub fn range(&self, i: usize) -> (u64, u64) {
+        assert!(i + 1 < self.count, "EliasFano range {i} out of bounds ({})", self.count);
+        let at = self.select(i);
+        let mut w = (at / 64) as usize;
+        // Set bits strictly above `at` within its word.
+        let mut word = self.upper[w] & (!1u64 << (at % 64));
+        while word == 0 {
+            w += 1;
+            word = self.upper[w];
+        }
+        let next = (w as u64) * 64 + u64::from(word.trailing_zeros());
+        let lo = ((at - i as u64) << self.l) | self.lower_bits(i);
+        let hi = ((next - i as u64 - 1) << self.l) | self.lower_bits(i + 1);
+        (lo, hi)
+    }
+
     /// Serialises to the section payload layout:
     /// `varint(count) varint(universe) varint(l)` then the lower and upper
     /// words, little-endian (word counts are functions of the prefix).
@@ -270,6 +292,9 @@ mod tests {
             assert_eq!(ef.get(i), v, "index {i}");
         }
         assert_eq!(ef.iter().collect::<Vec<_>>(), values, "iter disagrees with get");
+        for i in 0..values.len().saturating_sub(1) {
+            assert_eq!(ef.range(i), (values[i], values[i + 1]), "range {i}");
+        }
         let decoded = EliasFano::decode(&ef.encode(), values.len()).unwrap();
         assert_eq!(decoded, ef);
     }
@@ -282,6 +307,10 @@ mod tests {
         round_trip(&[0, 0, 0]);
         round_trip(&[0, 1, 2, 3, 4, 5]);
         round_trip(&[0, 100, 100, 250, 251, 1 << 40]);
+        // l = 0 with neighbouring set bits in different upper words: bit
+        // 62 → 127, and bit 63 → 164 across the empty word 1.
+        round_trip(&[[0; 63].as_slice(), &[64]].concat());
+        round_trip(&[[0; 64].as_slice(), &[100]].concat());
     }
 
     #[test]

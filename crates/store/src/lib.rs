@@ -48,7 +48,7 @@ mod writer;
 pub use ef::EliasFano;
 pub use error::StoreError;
 pub use format::{SectionInfo, FORMAT_VERSION, FORMAT_VERSION_V1, MAGIC};
-pub use random::{RandomAccessOptions, RandomAccessStore};
+pub use random::RandomAccessStore;
 pub use reader::{OutAdjacency, StoreReader, VerifyReport};
 pub use writer::StoreWriter;
 

@@ -1,51 +1,60 @@
 //! Read-only file regions: memory-mapped when the platform allows it,
-//! positional reads otherwise.
+//! read into an owned buffer otherwise.
 //!
 //! This is the only module in the crate allowed to use `unsafe` — a
 //! minimal `mmap(2)`/`munmap(2)` FFI binding (the toolchain here has no
 //! crates.io access, so no `memmap2`). Everything above it sees a safe
-//! [`Region`] that hands out byte ranges; whether those bytes come from
-//! the page cache via a mapping or from `pread` is an implementation
-//! detail. Set `SSR_STORE_NO_MMAP=1` to force the positional-read
-//! fallback (tests exercise both paths with it).
+//! [`Region`] that hands out the file's bytes as one slice; whether those
+//! bytes come from the page cache via a mapping or from a buffer read at
+//! open is an implementation detail. Set `SSR_STORE_NO_MMAP=1` to force
+//! the buffered fallback.
 
 use std::fs::File;
 use std::io;
 use std::path::Path;
 
-/// Environment switch forcing the positional-read fallback.
-pub(crate) const NO_MMAP_ENV: &str = "SSR_STORE_NO_MMAP";
+/// Environment switch forcing the buffered fallback.
+const NO_MMAP_ENV: &str = "SSR_STORE_NO_MMAP";
 
 /// A read-only view of a file's bytes.
 pub(crate) enum Region {
-    /// The whole file mapped into the address space; reads are slice
-    /// accesses and residency is the kernel's problem.
+    /// The whole file mapped into the address space; residency is the
+    /// kernel's problem.
     Mapped(Mapped),
-    /// Positional reads against the file descriptor.
-    Fallback { file: File, len: u64 },
+    /// The whole file read into memory once, at open.
+    Buffered(Vec<u8>),
 }
 
 impl Region {
     /// Opens `path`, preferring a memory map. Zero-length files and
-    /// mapping failures quietly use the fallback; so does
+    /// mapping failures quietly use the buffered fallback; so does
     /// `SSR_STORE_NO_MMAP=1`.
     pub(crate) fn open(path: &Path) -> io::Result<Region> {
+        if std::env::var(NO_MMAP_ENV).is_ok_and(|v| v == "1") {
+            return Self::read(path);
+        }
         let file = File::open(path)?;
         let len = file.metadata()?.len();
-        let forced_off = std::env::var(NO_MMAP_ENV).is_ok_and(|v| v == "1");
-        if len > 0 && !forced_off {
+        if len > 0 {
             if let Some(mapped) = Mapped::map(&file, len)? {
                 return Ok(Region::Mapped(mapped));
             }
         }
-        Ok(Region::Fallback { file, len })
+        Self::read(path)
     }
 
-    /// Total length of the underlying file.
-    pub(crate) fn len(&self) -> u64 {
+    /// Reads the whole of `path` into an owned buffer — the fallback
+    /// [`Region::open`] takes, reachable directly so tests need not set
+    /// the process-wide environment switch.
+    pub(crate) fn read(path: &Path) -> io::Result<Region> {
+        Ok(Region::Buffered(std::fs::read(path)?))
+    }
+
+    /// The file's bytes.
+    pub(crate) fn bytes(&self) -> &[u8] {
         match self {
-            Region::Mapped(m) => m.len as u64,
-            Region::Fallback { len, .. } => *len,
+            Region::Mapped(m) => m.as_slice(),
+            Region::Buffered(b) => b,
         }
     }
 
@@ -54,45 +63,14 @@ impl Region {
         matches!(self, Region::Mapped(_))
     }
 
-    /// Runs `f` over the bytes at `offset..offset + len`. Mapped regions
-    /// pass a direct slice; the fallback reads into a transient buffer.
-    pub(crate) fn with_bytes<R>(
-        &self,
-        offset: u64,
-        len: usize,
-        f: impl FnOnce(&[u8]) -> R,
-    ) -> io::Result<R> {
-        let end = offset.checked_add(len as u64).filter(|&e| e <= self.len());
-        if end.is_none() {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                format!("range {offset}+{len} past region of {} bytes", self.len()),
-            ));
-        }
+    /// Heap bytes this region holds: the buffer of the fallback, nothing
+    /// for a mapping (the kernel pages it in and out on demand).
+    pub(crate) fn resident_bytes(&self) -> usize {
         match self {
-            Region::Mapped(m) => Ok(f(&m.as_slice()[offset as usize..offset as usize + len])),
-            Region::Fallback { file, .. } => {
-                let mut buf = vec![0u8; len];
-                read_exact_at(file, &mut buf, offset)?;
-                Ok(f(&buf))
-            }
+            Region::Mapped(_) => 0,
+            Region::Buffered(b) => b.len(),
         }
     }
-}
-
-#[cfg(unix)]
-fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> io::Result<()> {
-    std::os::unix::fs::FileExt::read_exact_at(file, buf, offset)
-}
-
-#[cfg(not(unix))]
-fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> io::Result<()> {
-    // Windows `seek_read` moves the cursor, but Region never relies on
-    // cursor position, so plain seek + read is fine there too.
-    use std::io::{Read, Seek, SeekFrom};
-    let mut f = file;
-    f.seek(SeekFrom::Start(offset))?;
-    f.read_exact(buf)
 }
 
 #[cfg(unix)]
@@ -204,28 +182,11 @@ mod tests {
         let payload: Vec<u8> = (0..=255u8).cycle().take(10_000).collect();
         std::fs::write(&path, &payload).unwrap();
         let region = Region::open(&path).unwrap();
-        let fallback = {
-            let file = File::open(&path).unwrap();
-            let len = file.metadata().unwrap().len();
-            Region::Fallback { file, len }
-        };
-        assert_eq!(region.len(), payload.len() as u64);
-        for (offset, len) in [(0usize, 16usize), (255, 1), (9_000, 1_000), (0, 10_000)] {
-            let a = region.with_bytes(offset as u64, len, |b| b.to_vec()).unwrap();
-            let b = fallback.with_bytes(offset as u64, len, |b| b.to_vec()).unwrap();
-            assert_eq!(a, b);
-            assert_eq!(a, payload[offset..offset + len].to_vec());
-        }
-    }
-
-    #[test]
-    fn out_of_range_reads_are_errors() {
-        let path = tmp("range.bin");
-        std::fs::write(&path, [1, 2, 3]).unwrap();
-        let region = Region::open(&path).unwrap();
-        assert!(region.with_bytes(2, 2, |_| ()).is_err());
-        assert!(region.with_bytes(u64::MAX, 1, |_| ()).is_err());
-        assert!(region.with_bytes(3, 0, |b| b.len()).unwrap() == 0);
+        let fallback = Region::read(&path).unwrap();
+        assert!(!fallback.is_mapped());
+        assert_eq!(region.bytes(), payload);
+        assert_eq!(fallback.bytes(), payload);
+        assert_eq!(fallback.resident_bytes(), payload.len());
     }
 
     #[test]
@@ -234,6 +195,6 @@ mod tests {
         std::fs::write(&path, []).unwrap();
         let region = Region::open(&path).unwrap();
         assert!(!region.is_mapped());
-        assert_eq!(region.len(), 0);
+        assert!(region.bytes().is_empty());
     }
 }

@@ -1,23 +1,27 @@
 //! Random access into a `.ssg` v2 store without materialising a CSR.
 //!
 //! [`RandomAccessStore`] keeps only O(n) state resident — per-direction
-//! degree arrays, the Elias-Fano offset indexes, the optional layout
-//! permutation, and a bounded LRU of decoded rows — while the compressed
-//! adjacency stays on disk, reached through a memory map (or positional
-//! reads, see `mmap`). Any node's neighbor list is one O(1) index probe
-//! plus one bounded varint decode of that node's block alone.
+//! degree arrays, the Elias-Fano offset indexes and the optional layout
+//! permutation — while the compressed adjacency stays on disk, reached
+//! through a memory map (or, with `SSR_STORE_NO_MMAP=1`, a buffer read
+//! at open; see `mmap`). Any node's neighbor list is one Elias-Fano
+//! select for its block's byte range plus one bounded varint decode of
+//! that block alone, straight from the mapped bytes into the caller's
+//! callback: no row cache, no lock, no allocation per row.
 //!
 //! The store implements [`NeighborAccess`] in the **original** id space:
-//! for permuted files each request maps through the stored layout and the
-//! decoded row is mapped back and re-sorted before being cached, so
-//! engines see bit-identical adjacency regardless of the on-disk order.
+//! for permuted files each request maps through the stored layout, and
+//! the decoded row is mapped back and re-sorted in a per-thread buffer
+//! before it is delivered, so engines see bit-identical adjacency
+//! regardless of the on-disk order.
 //!
 //! Open cost is one streaming pass over both adjacency sections: it
 //! checksums them, proves every block decodes and sits exactly where the
 //! offset index claims, and collects the degree arrays. After that no
-//! code path can hit corrupt bytes (short of the file being rewritten
-//! underneath the open handle, which panics rather than returning wrong
-//! neighbors).
+//! code path can hit corrupt bytes. [`crate::StoreWriter::write_file`]
+//! replaces files by rename, so rewriting a store never changes the
+//! bytes an open handle maps; a file truncated or modified in place
+//! underneath the handle panics rather than returning wrong neighbors.
 
 use crate::checksum::checksum64;
 use crate::format::{Header, SectionInfo, SECTION_IN, SECTION_OUT};
@@ -26,20 +30,9 @@ use crate::reader::unzigzag;
 use crate::varint::read_varint;
 use crate::{EliasFano, StoreError, StoreReader};
 use ssr_graph::{NeighborAccess, NodeId, Permutation};
-use std::collections::HashMap;
+use std::cell::Cell;
+use std::ops::Range;
 use std::path::Path;
-use std::sync::{Arc, Mutex};
-
-/// Tuning knobs for [`RandomAccessStore::open_with`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RandomAccessOptions {
-    /// Byte budget for the decoded-row cache. `None` picks a default of
-    /// one eighth of the graph's estimated CSR footprint, clamped to
-    /// 256 KiB..=64 MiB — small enough that a store-backed engine stays
-    /// well under half the in-memory graph, large enough to keep hot
-    /// rows decoded.
-    pub cache_bytes: Option<usize>,
-}
 
 /// A `.ssg` v2 file served node-by-node straight off the compressed
 /// bytes.
@@ -51,15 +44,14 @@ pub struct RandomAccessStore {
     inc: DirectionState,
     perm: Option<Permutation>,
     meta: Vec<(String, String)>,
-    cache: RowCache,
-    /// Resident bytes that never change after open: degree arrays,
-    /// offset indexes, permutation maps.
-    fixed_bytes: usize,
+    /// Resident bytes, fixed at open: degree arrays, offset indexes,
+    /// permutation maps, and the file buffer when not mapped.
+    resident_bytes: usize,
 }
 
 struct DirectionState {
-    /// Absolute file offset of the adjacency payload.
-    payload_offset: u64,
+    /// The adjacency section's byte range within the file.
+    payload: Range<usize>,
     index: EliasFano,
     /// Degrees in the original id space.
     degree: Vec<u32>,
@@ -67,25 +59,32 @@ struct DirectionState {
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Dir {
-    Out = 0,
-    In = 1,
+    Out,
+    In,
+}
+
+thread_local! {
+    /// Reusable row buffer for permuted stores. Taken out for the length
+    /// of one row and put back afterwards, so a callback that reads the
+    /// store again finds it empty and allocates its own instead of
+    /// aliasing the caller's row.
+    static PERMUTED_ROW: Cell<Vec<NodeId>> = const { Cell::new(Vec::new()) };
 }
 
 impl RandomAccessStore {
-    /// Opens `path` with default options.
-    pub fn open<P: AsRef<Path>>(path: P) -> Result<RandomAccessStore, StoreError> {
-        Self::open_with(path, RandomAccessOptions::default())
-    }
-
     /// Opens `path`: header/index/permutation validation via
     /// [`StoreReader::open`], then one streaming scan per adjacency
     /// section (checksum + per-block structure + offset-index agreement)
     /// that also collects the degree arrays.
-    pub fn open_with<P: AsRef<Path>>(
-        path: P,
-        options: RandomAccessOptions,
-    ) -> Result<RandomAccessStore, StoreError> {
-        let reader = StoreReader::open(&path)?;
+    pub fn open<P: AsRef<Path>>(path: P) -> Result<RandomAccessStore, StoreError> {
+        let region = Region::open(path.as_ref()).map_err(StoreError::from)?;
+        Self::open_region(path.as_ref(), region)
+    }
+
+    /// [`RandomAccessStore::open`] over an already-opened `region` of the
+    /// file at `path`.
+    fn open_region(path: &Path, region: Region) -> Result<RandomAccessStore, StoreError> {
+        let reader = StoreReader::open(path)?;
         if reader.version() < 2 {
             return Err(StoreError::Corrupt {
                 message: format!(
@@ -98,8 +97,6 @@ impl RandomAccessStore {
         let parts = reader.into_parts();
         let (header, meta, out_index, in_index, perm) =
             (parts.header, parts.meta, parts.out_index, parts.in_index, parts.perm);
-        let out_info = section(&header, SECTION_OUT)?;
-        let in_info = section(&header, SECTION_IN)?;
         // Present whenever the adjacency section is — StoreReader::open
         // enforced that for v2 files.
         let out_index = out_index.expect("v2 open validated the out-offset index");
@@ -107,14 +104,15 @@ impl RandomAccessStore {
         let n = header.nodes as usize;
         let m = header.edges as usize;
 
-        let region = Region::open(path.as_ref()).map_err(StoreError::from)?;
-        for info in [&out_info, &in_info] {
-            if info.offset.checked_add(info.len).is_none_or(|end| end > region.len()) {
-                return Err(StoreError::Truncated { context: "section payload" });
-            }
-        }
-        let (out_deg, out_digest) = scan_direction(&region, out_info, &out_index, n, m, Dir::Out)?;
-        let (in_deg, in_digest) = scan_direction(&region, in_info, &in_index, n, m, Dir::In)?;
+        let out_info = section(&header, SECTION_OUT)?;
+        let in_info = section(&header, SECTION_IN)?;
+        let out_payload = payload_range(&region, &out_info)?;
+        let in_payload = payload_range(&region, &in_info)?;
+        let bytes = region.bytes();
+        let (out_deg, out_digest) =
+            scan_direction(&bytes[out_payload.clone()], &out_info, &out_index, n, m, Dir::Out)?;
+        let (in_deg, in_digest) =
+            scan_direction(&bytes[in_payload.clone()], &in_info, &in_index, n, m, Dir::In)?;
         if out_digest != in_digest {
             return Err(StoreError::Corrupt {
                 message: "out- and in-adjacency sections describe different edge sets".into(),
@@ -130,33 +128,20 @@ impl RandomAccessStore {
             }
         };
 
-        let budget = options.cache_bytes.unwrap_or_else(|| {
-            // One eighth of the CSR this store replaces.
-            let csr = 16 * (n + 1) + 8 * m;
-            (csr / 8).clamp(256 << 10, 64 << 20)
-        });
-        let fixed_bytes = (out_degree.len() + in_degree.len()) * 4
+        let resident_bytes = (out_degree.len() + in_degree.len()) * 4
             + out_index.resident_bytes()
             + in_index.resident_bytes()
-            + perm.as_ref().map_or(0, |p| p.len() * 8);
+            + perm.as_ref().map_or(0, |p| p.len() * 8)
+            + region.resident_bytes();
         Ok(RandomAccessStore {
             region,
             n,
             m,
-            out: DirectionState {
-                payload_offset: out_info.offset,
-                index: out_index,
-                degree: out_degree,
-            },
-            inc: DirectionState {
-                payload_offset: in_info.offset,
-                index: in_index,
-                degree: in_degree,
-            },
+            out: DirectionState { payload: out_payload, index: out_index, degree: out_degree },
+            inc: DirectionState { payload: in_payload, index: in_index, degree: in_degree },
             perm,
             meta,
-            cache: RowCache::new(budget),
-            fixed_bytes,
+            resident_bytes,
         })
     }
 
@@ -177,56 +162,52 @@ impl RandomAccessStore {
     }
 
     /// Whether adjacency reads go through a memory mapping (as opposed
-    /// to positional reads).
+    /// to a buffer read at open).
     pub fn is_mapped(&self) -> bool {
         self.region.is_mapped()
     }
 
-    /// The decoded-row cache budget in bytes.
-    pub fn cache_budget_bytes(&self) -> usize {
-        self.cache.budget()
-    }
-
-    /// Resident heap bytes right now: degree arrays + offset indexes +
-    /// permutation + currently cached rows. The mapped file is not
-    /// counted — the kernel pages it in and out on demand.
+    /// Resident heap bytes: degree arrays + offset indexes + permutation,
+    /// plus the whole file when it is buffered rather than mapped. Fixed
+    /// at open. A mapped file is not counted — the kernel pages it in and
+    /// out on demand.
     pub fn resident_bytes(&self) -> usize {
-        self.fixed_bytes + self.cache.bytes()
+        self.resident_bytes
     }
 
-    /// The decoded, original-id-space, ascending row for `v`.
-    fn row(&self, dir: Dir, v: NodeId) -> Arc<Vec<NodeId>> {
+    /// Calls `f` for every neighbor of `v` in direction `dir`, ascending,
+    /// in the original id space.
+    fn for_each(&self, dir: Dir, v: NodeId, f: &mut dyn FnMut(NodeId)) {
         assert!((v as usize) < self.n, "node {v} out of range ({} nodes)", self.n);
-        if let Some(hit) = self.cache.get(dir as u8, v) {
-            return hit;
-        }
         let state = match dir {
             Dir::Out => &self.out,
             Dir::In => &self.inc,
         };
-        let stored = self.perm.as_ref().map_or(v, |p| p.to_new(v));
-        let start = state.index.get(stored as usize);
-        let end = state.index.get(stored as usize + 1);
-        let mut ids: Vec<NodeId> = Vec::new();
         // Open-time validation proved every block decodes cleanly and the
         // index tells the truth; a failure here means the file changed
         // underneath the open handle, and panicking beats silently
         // computing on garbage adjacency.
-        self.region
-            .with_bytes(state.payload_offset + start, (end - start) as usize, |bytes| {
-                decode_block(bytes, stored, self.n, &mut ids)
-            })
-            .expect("store file became unreadable after open")
-            .expect("store block changed after open-time validation");
-        if let Some(p) = &self.perm {
-            for w in ids.iter_mut() {
-                *w = p.to_old(*w);
-            }
-            ids.sort_unstable();
+        const CHANGED: &str = "store block changed after open-time validation";
+        let Some(p) = &self.perm else {
+            decode_block(self.block(state, v), v, self.n, f).expect(CHANGED);
+            return;
+        };
+        let stored = p.to_new(v);
+        let mut row = PERMUTED_ROW.take();
+        row.clear();
+        decode_block(self.block(state, stored), stored, self.n, |w| row.push(p.to_old(w)))
+            .expect(CHANGED);
+        row.sort_unstable();
+        for &w in &row {
+            f(w);
         }
-        let row = Arc::new(ids);
-        self.cache.insert(dir as u8, v, Arc::clone(&row));
-        row
+        PERMUTED_ROW.set(row);
+    }
+
+    /// The encoded block of stored node `stored`.
+    fn block(&self, state: &DirectionState, stored: NodeId) -> &[u8] {
+        let (start, end) = state.index.range(stored as usize);
+        &self.region.bytes()[state.payload.clone()][start as usize..end as usize]
     }
 }
 
@@ -248,19 +229,23 @@ impl NeighborAccess for RandomAccessStore {
     }
 
     fn for_each_out(&self, v: NodeId, f: &mut dyn FnMut(NodeId)) {
-        for &w in self.row(Dir::Out, v).iter() {
-            f(w);
-        }
+        self.for_each(Dir::Out, v, f);
     }
 
     fn for_each_in(&self, v: NodeId, f: &mut dyn FnMut(NodeId)) {
-        for &w in self.row(Dir::In, v).iter() {
-            f(w);
-        }
+        self.for_each(Dir::In, v, f);
     }
 
     fn resident_bytes(&self) -> usize {
         RandomAccessStore::resident_bytes(self)
+    }
+}
+
+/// The byte range of a section's payload, checked against the file.
+fn payload_range(region: &Region, info: &SectionInfo) -> Result<Range<usize>, StoreError> {
+    match info.offset.checked_add(info.len) {
+        Some(end) if end <= region.bytes().len() as u64 => Ok(info.offset as usize..end as usize),
+        _ => Err(StoreError::Truncated { context: "section payload" }),
     }
 }
 
@@ -276,210 +261,95 @@ fn section(header: &Header, id: u32) -> Result<SectionInfo, StoreError> {
 /// digests to prove both sections (and both indexes) describe one edge
 /// set.
 fn scan_direction(
-    region: &Region,
-    info: SectionInfo,
+    payload: &[u8],
+    info: &SectionInfo,
     index: &EliasFano,
     n: usize,
     m: usize,
     dir: Dir,
 ) -> Result<(Vec<u32>, u64), StoreError> {
-    region
-        .with_bytes(info.offset, info.len as usize, |payload| {
-            if checksum64(payload) != info.checksum {
-                return Err(StoreError::ChecksumMismatch { section: info.id });
-            }
-            let mut degrees: Vec<u32> = Vec::with_capacity(n);
-            let mut digest = 0u64;
-            let mut total = 0usize;
-            let mut scratch: Vec<NodeId> = Vec::new();
-            // Walk the index sequentially — `get` would pay a select
-            // per node on what is a full linear pass.
-            let mut bounds = index.iter();
-            let mut start = bounds.next().expect("open validated the index holds n + 1 entries");
-            for p in 0..n {
-                let end = bounds.next().expect("open validated the index holds n + 1 entries");
-                if start > end || end > payload.len() as u64 {
-                    return Err(StoreError::Corrupt {
-                        message: format!(
-                            "offset index for section {} claims block {p} spans {start}..{end} \
-                             in a {}-byte payload",
-                            info.id,
-                            payload.len()
-                        ),
-                    });
-                }
-                scratch.clear();
-                decode_block(&payload[start as usize..end as usize], p as NodeId, n, &mut scratch)
-                    .map_err(|e| StoreError::Corrupt {
-                        message: format!("section {} block {p}: {e}", info.id),
-                    })?;
-                total += scratch.len();
-                if total > m {
-                    return Err(StoreError::Corrupt {
-                        message: format!(
-                            "section {} holds more than the {m} ids the header promises",
-                            info.id
-                        ),
-                    });
-                }
-                for &w in &scratch {
-                    digest ^= match dir {
-                        Dir::Out => ssr_graph::edge_digest(p as NodeId, w),
-                        Dir::In => ssr_graph::edge_digest(w, p as NodeId),
-                    };
-                }
-                degrees.push(scratch.len() as u32);
-                start = end;
-            }
-            if total != m {
-                return Err(StoreError::Corrupt {
-                    message: format!(
-                        "section {} decodes {total} ids but the header promises {m}",
-                        info.id
-                    ),
-                });
-            }
-            Ok((degrees, digest))
+    let id = info.id;
+    if checksum64(payload) != info.checksum {
+        return Err(StoreError::ChecksumMismatch { section: id });
+    }
+    let mut degrees: Vec<u32> = Vec::with_capacity(n);
+    let mut digest = 0u64;
+    let mut total = 0usize;
+    // Walk the index sequentially — `range` would pay a select per node
+    // on what is a full linear pass.
+    let mut bounds = index.iter();
+    let mut start = bounds.next().expect("open validated the index holds n + 1 entries");
+    for p in 0..n {
+        let end = bounds.next().expect("open validated the index holds n + 1 entries");
+        if start > end || end > payload.len() as u64 {
+            return Err(StoreError::Corrupt {
+                message: format!(
+                    "offset index for section {id} claims block {p} spans {start}..{end} in a \
+                     {}-byte payload",
+                    payload.len()
+                ),
+            });
+        }
+        let mut degree = 0u32;
+        decode_block(&payload[start as usize..end as usize], p as NodeId, n, |w| {
+            degree += 1;
+            digest ^= match dir {
+                Dir::Out => ssr_graph::edge_digest(p as NodeId, w),
+                Dir::In => ssr_graph::edge_digest(w, p as NodeId),
+            };
         })
-        .map_err(StoreError::from)?
+        .map_err(|e| StoreError::Corrupt { message: format!("section {id} block {p}: {e}") })?;
+        total += degree as usize;
+        if total > m {
+            return Err(StoreError::Corrupt {
+                message: format!("section {id} holds more than the {m} ids the header promises"),
+            });
+        }
+        degrees.push(degree);
+        start = end;
+    }
+    if total != m {
+        return Err(StoreError::Corrupt {
+            message: format!("section {id} decodes {total} ids but the header promises {m}"),
+        });
+    }
+    Ok((degrees, digest))
 }
 
 /// Decodes one v2 adjacency block (`varint(zigzag(first − node))`, then
-/// `varint(gap − 1)`…) spanning `bytes` exactly — there is no degree
-/// varint; the block's byte range (from the offset index) delimits it and
-/// the degree is the number of varints inside. Ids come out ascending in
-/// the stored space.
+/// `varint(gap − 1)`…) spanning `bytes` exactly, calling `emit` per id —
+/// there is no degree varint; the block's byte range (from the offset
+/// index) delimits it and the degree is the number of varints inside.
+/// Ids come out ascending in the stored space. On corrupt bytes `emit`
+/// may already have seen a prefix of the block.
 fn decode_block(
     bytes: &[u8],
     node: NodeId,
     n: usize,
-    out: &mut Vec<NodeId>,
+    mut emit: impl FnMut(NodeId),
 ) -> Result<(), StoreError> {
-    let corrupt = |message: String| StoreError::Corrupt { message };
+    let corrupt = |what: &str| StoreError::Corrupt {
+        message: format!("adjacency block of node {node} {what}"),
+    };
     let mut pos = 0usize;
-    let mut prev = 0u64;
-    let mut first = true;
+    let Some(delta) = read_varint(bytes, &mut pos) else {
+        return if bytes.is_empty() { Ok(()) } else { Err(corrupt("ends inside a varint")) };
+    };
+    let first = i64::from(node).checked_add(unzigzag(delta)).filter(|&v| v >= 0);
+    let mut prev = match first {
+        Some(v) if (v as u64) < n as u64 => v as u64,
+        _ => return Err(corrupt(&format!("starts outside 0..{n}"))),
+    };
+    emit(prev as NodeId);
     while pos < bytes.len() {
-        let delta = read_varint(bytes, &mut pos)
-            .ok_or_else(|| corrupt(format!("block of node {node} ends inside a varint")))?;
-        let value = if first {
-            first = false;
-            let signed = unzigzag(delta);
-            let value = i64::from(node)
-                .checked_add(signed)
-                .ok_or_else(|| corrupt(format!("adjacency of node {node} overflows")))?;
-            if value < 0 {
-                return Err(corrupt(format!(
-                    "adjacency of node {node} references negative id {value}"
-                )));
-            }
-            value as u64
-        } else {
-            prev.checked_add(delta)
-                .and_then(|x| x.checked_add(1))
-                .ok_or_else(|| corrupt(format!("adjacency of node {node} overflows")))?
+        let gap = read_varint(bytes, &mut pos).ok_or_else(|| corrupt("ends inside a varint"))?;
+        prev = match prev.checked_add(gap).and_then(|x| x.checked_add(1)) {
+            Some(v) if v < n as u64 => v,
+            _ => return Err(corrupt(&format!("references a node >= {n}"))),
         };
-        if value >= n as u64 {
-            return Err(corrupt(format!(
-                "adjacency of node {node} references node {value} >= {n}"
-            )));
-        }
-        out.push(value as NodeId);
-        prev = value;
+        emit(prev as NodeId);
     }
     Ok(())
-}
-
-/// A sharded, byte-bounded cache of decoded rows with lazy LRU eviction:
-/// hits stamp entries with a per-shard tick; when a shard overflows its
-/// slice of the budget, the oldest-stamped entries go until the shard is
-/// at half budget (so eviction is amortised, not per-insert).
-struct RowCache {
-    shards: Vec<Mutex<Shard>>,
-    shard_budget: usize,
-    budget: usize,
-}
-
-#[derive(Default)]
-struct Shard {
-    map: HashMap<u64, CacheEntry>,
-    bytes: usize,
-    tick: u64,
-}
-
-struct CacheEntry {
-    row: Arc<Vec<NodeId>>,
-    stamp: u64,
-    cost: usize,
-}
-
-const CACHE_SHARDS: usize = 16;
-/// Approximate per-entry bookkeeping cost (hash slot + Arc + stamps).
-const ENTRY_OVERHEAD: usize = 64;
-
-impl RowCache {
-    fn new(budget: usize) -> RowCache {
-        RowCache {
-            shards: (0..CACHE_SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
-            shard_budget: (budget / CACHE_SHARDS).max(ENTRY_OVERHEAD),
-            budget,
-        }
-    }
-
-    fn budget(&self) -> usize {
-        self.budget
-    }
-
-    fn key(dir: u8, v: NodeId) -> u64 {
-        (u64::from(dir) << 32) | u64::from(v)
-    }
-
-    fn shard(&self, key: u64) -> &Mutex<Shard> {
-        // Fibonacci hash so consecutive node ids spread across shards.
-        let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        &self.shards[(h >> 32) as usize % CACHE_SHARDS]
-    }
-
-    fn get(&self, dir: u8, v: NodeId) -> Option<Arc<Vec<NodeId>>> {
-        let key = Self::key(dir, v);
-        let mut shard = self.shard(key).lock().expect("cache shard poisoned");
-        shard.tick += 1;
-        let tick = shard.tick;
-        let entry = shard.map.get_mut(&key)?;
-        entry.stamp = tick;
-        Some(Arc::clone(&entry.row))
-    }
-
-    fn insert(&self, dir: u8, v: NodeId, row: Arc<Vec<NodeId>>) {
-        let key = Self::key(dir, v);
-        let cost = row.len() * std::mem::size_of::<NodeId>() + ENTRY_OVERHEAD;
-        let mut shard = self.shard(key).lock().expect("cache shard poisoned");
-        shard.tick += 1;
-        let stamp = shard.tick;
-        if let Some(old) = shard.map.insert(key, CacheEntry { row, stamp, cost }) {
-            shard.bytes -= old.cost;
-        }
-        shard.bytes += cost;
-        if shard.bytes > self.shard_budget {
-            // Evict oldest-stamped entries down to half budget (possibly
-            // including the row just inserted, if it alone dwarfs the
-            // shard — the caller already holds its Arc).
-            let mut by_age: Vec<(u64, u64, usize)> =
-                shard.map.iter().map(|(&k, e)| (e.stamp, k, e.cost)).collect();
-            by_age.sort_unstable();
-            for (_, k, cost) in by_age {
-                if shard.bytes <= self.shard_budget / 2 {
-                    break;
-                }
-                shard.map.remove(&k);
-                shard.bytes -= cost;
-            }
-        }
-    }
-
-    fn bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().expect("cache shard poisoned").bytes).sum()
-    }
 }
 
 #[cfg(test)]
@@ -526,8 +396,6 @@ mod tests {
         let store = RandomAccessStore::open(&path).unwrap();
         assert!(!store.is_permuted());
         assert_matches_graph(&store, &g);
-        // Second sweep hits the row cache.
-        assert_matches_graph(&store, &g);
         assert!(store.resident_bytes() > 0);
     }
 
@@ -544,18 +412,39 @@ mod tests {
     }
 
     #[test]
+    fn nested_reads_inside_a_callback_return_the_right_rows() {
+        let g = sample_graph();
+        let plain = tmp("reentrant_plain.ssg");
+        let permuted = tmp("reentrant_perm.ssg");
+        StoreWriter::new(&g).write_file(&plain).unwrap();
+        StoreWriter::new(&g).permutation(bfs_order(&g), "bfs").write_file(&permuted).unwrap();
+        for path in [plain, permuted] {
+            let store = RandomAccessStore::open(&path).unwrap();
+            for v in 0..g.node_count() as NodeId {
+                let mut outer = Vec::new();
+                store.for_each_out(v, &mut |w| {
+                    outer.push(w);
+                    let mut inner = Vec::new();
+                    store.for_each_in(w, &mut |u| inner.push(u));
+                    assert_eq!(inner, g.in_neighbors(w), "in of {w} inside out of {v}");
+                });
+                assert_eq!(outer, g.out_neighbors(v), "out of {v}");
+            }
+        }
+    }
+
+    #[test]
     fn fallback_reads_match_mmap() {
         let g = sample_graph();
         let path = tmp("fallback.ssg");
-        StoreWriter::new(&g).write_file(&path).unwrap();
-        // Force the positional-read path via the env override; the env
-        // var is only read at open time, so restore it immediately.
-        std::env::set_var(crate::mmap::NO_MMAP_ENV, "1");
-        let store = RandomAccessStore::open(&path);
-        std::env::remove_var(crate::mmap::NO_MMAP_ENV);
-        let store = store.unwrap();
+        StoreWriter::new(&g).permutation(degree_order(&g), "degree").write_file(&path).unwrap();
+        let mapped = RandomAccessStore::open(&path).unwrap();
+        let store = RandomAccessStore::open_region(&path, Region::read(&path).unwrap()).unwrap();
         assert!(!store.is_mapped());
         assert_matches_graph(&store, &g);
+        // The buffered file is resident; a mapping is not.
+        let file_len = std::fs::metadata(&path).unwrap().len() as usize;
+        assert_eq!(store.resident_bytes(), mapped.resident_bytes() + file_len);
     }
 
     #[test]
@@ -571,43 +460,27 @@ mod tests {
     }
 
     #[test]
-    fn tiny_cache_budget_still_serves_correctly() {
-        let g = sample_graph();
-        let path = tmp("tiny_cache.ssg");
-        StoreWriter::new(&g).write_file(&path).unwrap();
-        let store = RandomAccessStore::open_with(
-            &path,
-            RandomAccessOptions { cache_bytes: Some(ENTRY_OVERHEAD) },
-        )
-        .unwrap();
-        assert_matches_graph(&store, &g);
-        assert_matches_graph(&store, &g);
-        assert!(store.resident_bytes() < store.fixed_bytes + store.cache_budget_bytes() * 2);
-    }
-
-    #[test]
-    fn resident_bytes_stay_under_csr_footprint() {
+    fn resident_bytes_stay_fixed_while_serving() {
         let g = sample_graph();
         let path = tmp("resident.ssg");
         StoreWriter::new(&g).write_file(&path).unwrap();
         let store = RandomAccessStore::open(&path).unwrap();
-        // Touch everything, then compare against the CSR it replaces.
-        for v in 0..g.node_count() as NodeId {
-            store.out_neighbors_vec(v);
-            store.in_neighbors_vec(v);
-        }
-        // On a toy graph constants dominate; the invariant worth pinning
-        // is that cached bytes respect the budget.
-        assert!(store.cache.bytes() <= store.cache_budget_bytes());
+        let before = store.resident_bytes();
+        assert_matches_graph(&store, &g);
+        assert_eq!(store.resident_bytes(), before);
     }
 
     #[test]
-    fn row_cache_evicts_by_recency() {
-        let cache = RowCache::new(CACHE_SHARDS * (ENTRY_OVERHEAD + 16));
-        for v in 0..200u32 {
-            cache.insert(0, v, Arc::new(vec![v]));
-        }
-        let bytes = cache.bytes();
-        assert!(bytes > 0 && bytes <= CACHE_SHARDS * (ENTRY_OVERHEAD + 16));
+    fn rewriting_the_file_leaves_an_open_handle_intact() {
+        let g = sample_graph();
+        let other = DiGraph::from_edges(40, &[(0, 1), (1, 2), (2, 0)]).unwrap();
+        let path = tmp("rewrite.ssg");
+        StoreWriter::new(&g).write_file(&path).unwrap();
+        let store = RandomAccessStore::open(&path).unwrap();
+        assert!(store.is_mapped());
+        StoreWriter::new(&other).write_file(&path).unwrap();
+        // The old handle still maps the old file; a fresh open sees the new one.
+        assert_matches_graph(&store, &g);
+        assert_matches_graph(&RandomAccessStore::open(&path).unwrap(), &other);
     }
 }

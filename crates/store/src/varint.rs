@@ -28,11 +28,20 @@ pub fn write_varint(out: &mut Vec<u8>, mut value: u64) {
 ///
 /// Returns `None` on truncation (the continuation bit set on the last
 /// available byte) or overflow past 64 bits — both are corruption, never
-/// a panic. The one-byte case (the overwhelming majority of adjacency
-/// gaps) is a straight-line fast path; this function sits in the
-/// inner loop of the zero-parse load.
+/// a panic. One- and two-byte values (nearly all adjacency gaps) take a
+/// fast path with no branch on the length, which a mix of the two would
+/// mispredict; this function sits in the inner loop of the zero-parse
+/// load and of every random-access row decode.
 #[inline]
 pub fn read_varint(buf: &[u8], pos: &mut usize) -> Option<u64> {
+    if let Some(pair) = buf.get(*pos..pos.saturating_add(2)) {
+        let (b0, b1) = (u64::from(pair[0]), u64::from(pair[1]));
+        let two = b0 >> 7;
+        if two & (b1 >> 7) == 0 {
+            *pos += 1 + two as usize;
+            return Some((b0 & 0x7f) | ((b1 << 7) & two.wrapping_neg()));
+        }
+    }
     let &first = buf.get(*pos)?;
     *pos += 1;
     if first & 0x80 == 0 {
@@ -119,13 +128,16 @@ mod tests {
 
     #[test]
     fn sequential_decode_advances() {
+        // One-, two- and three-byte values next to each other, so the
+        // two-byte fast path sees the next value's continuation bits.
+        let values = [5u64, 1000, 0, 77, 128, 16_383, 16_384, 127, u64::MAX, 300, 1];
         let mut buf = Vec::new();
-        for v in [5u64, 1000, 0, 77] {
+        for v in values {
             write_varint(&mut buf, v);
         }
         let mut pos = 0;
-        let got: Vec<u64> = std::iter::from_fn(|| read_varint(&buf, &mut pos)).take(4).collect();
-        assert_eq!(got, vec![5, 1000, 0, 77]);
+        let got: Vec<u64> = std::iter::from_fn(|| read_varint(&buf, &mut pos)).collect();
+        assert_eq!(got, values);
         assert_eq!(pos, buf.len());
     }
 }

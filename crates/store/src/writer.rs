@@ -11,7 +11,8 @@ use crate::{meta_keys, StoreError};
 use ssr_graph::perm::permute_graph;
 use ssr_graph::{DiGraph, NodeId, Permutation};
 use std::io::Write;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Streams a graph into the binary store format.
 ///
@@ -97,10 +98,25 @@ impl<'g> StoreWriter<'g> {
         }
     }
 
-    /// Writes the container to a file (created or truncated).
+    /// Writes the container to a file, replacing it atomically: the bytes
+    /// go to a sibling temporary file, which is synced and then renamed
+    /// over `path`. A process that has the old file open or mapped keeps
+    /// reading the old bytes, and a failed write leaves `path` untouched.
     pub fn write_file<P: AsRef<Path>>(&self, path: P) -> Result<u64, StoreError> {
-        let file = std::fs::File::create(path)?;
-        self.write_to(std::io::BufWriter::new(file))
+        let path = path.as_ref();
+        let tmp = temp_sibling(path);
+        let written = (|| {
+            let mut w = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
+            let bytes = self.write_to(&mut w)?;
+            w.into_inner().map_err(|e| e.into_error())?.sync_all()?;
+            std::fs::rename(&tmp, path)?;
+            sync_parent_dir(path)?;
+            Ok(bytes)
+        })();
+        if written.is_err() {
+            std::fs::remove_file(&tmp).ok();
+        }
+        written
     }
 
     fn write_v1<W: Write>(&self, w: &mut W) -> Result<u64, StoreError> {
@@ -172,6 +188,25 @@ impl<'g> StoreWriter<'g> {
         payloads.push((SECTION_META, encode_meta(&meta)));
         emit(w, FORMAT_VERSION, n as u64, g.edge_count() as u64, &payloads)
     }
+}
+
+/// A temporary name next to `path` (same directory, so the final rename
+/// stays within one filesystem), unique per process and call.
+fn temp_sibling(path: &Path) -> PathBuf {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let name = path.file_name().unwrap_or_default().to_string_lossy();
+    let unique = NEXT.fetch_add(1, Ordering::Relaxed);
+    path.with_file_name(format!(".{name}.{}.{unique}.tmp", std::process::id()))
+}
+
+/// Makes a rename into `path`'s directory durable. Directories cannot be
+/// opened as files outside Unix, where this is a no-op.
+fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
+    if cfg!(unix) {
+        let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+        std::fs::File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
+    }
+    Ok(())
 }
 
 /// Lays out the header + section table + payloads and writes them.
@@ -383,6 +418,22 @@ mod tests {
             StoreWriter::new(&g).permutation(wrong_size, "bfs").write_to(&mut buf),
             Err(StoreError::Corrupt { .. })
         ));
+    }
+
+    #[test]
+    fn failed_file_write_leaves_target_and_no_temp() {
+        let g = DiGraph::from_edges(2, &[(0, 1)]).unwrap();
+        let dir = std::env::temp_dir().join(format!("ssr_store_writer_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("keep.ssg");
+        StoreWriter::new(&g).write_file(&path).unwrap();
+        let before = std::fs::read(&path).unwrap();
+        assert!(StoreWriter::new(&g).version(3).write_file(&path).is_err());
+        assert_eq!(std::fs::read(&path).unwrap(), before);
+        let names: Vec<_> =
+            std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+        assert_eq!(names, ["keep.ssg"]);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
