@@ -639,7 +639,7 @@ fn cmd_query(rest: &[String]) -> Result<String, ArgError> {
     } else {
         String::new()
     };
-    // `--node` keeps the scalar sweep; list modes run the batched lanes.
+    // `--node` runs the one-lane sweep; list modes run the batched lanes.
     let ranked: Vec<Vec<(u32, f64)>> = if args.has("node") {
         vec![engine.top_k(queries[0], top)]
     } else {

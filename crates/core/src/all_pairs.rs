@@ -111,7 +111,7 @@ impl Default for AllPairsOptions {
 /// ```
 pub struct AllPairsEngine {
     qe: QueryEngine,
-    /// Plain-kernel twin of the query engine's lane kernel for the full
+    /// Plain-kernel twin of the query engine's `X·Qᵀ` kernel for the full
     /// sweep (walks raw adjacency: add-then-scale, exactly the seed
     /// kernel). `None` when `compress` is set — then the sweep shares the
     /// query engine's compressed kernel.
@@ -235,13 +235,11 @@ impl AllPairsEngine {
         let threads = self.worker_count(subset.len());
         dispatch_row_blocks(out.as_mut_slice(), n, BLOCK, threads, |start_row, slab| {
             let chunk = &subset[start_row..start_row + slab.len() / n];
-            let mut s = self.qe.take_block_scratch();
-            self.qe.sweep_block_core(chunk.iter().copied(), &mut s);
-            for (lane, row) in slab.chunks_mut(n).enumerate() {
-                copy_lane_into(&s.w, lane, row);
-            }
-            s.w.clear();
-            self.qe.put_block_scratch(s);
+            self.qe.sweep_chunk(&self.qe.block_scratch, chunk.iter().copied(), &mut (), |w, _| {
+                for (lane, row) in slab.chunks_mut(n).enumerate() {
+                    copy_lane_into(w, lane, row);
+                }
+            });
         });
         out
     }
@@ -263,23 +261,25 @@ impl AllPairsEngine {
         let threads = self.worker_count(subset.len());
         dispatch_row_blocks(&mut results, 1, BLOCK, threads, |start_row, res_chunk| {
             let chunk = &subset[start_row..start_row + res_chunk.len()];
-            let mut s = self.qe.take_block_scratch();
             let mut row = vec![0.0; n];
-            let mut idx = Vec::new();
-            self.qe.sweep_block_core(chunk.iter().copied(), &mut s);
-            for (lane, (&q, out)) in chunk.iter().zip(res_chunk.iter_mut()).enumerate() {
-                copy_lane_into(&s.w, lane, &mut row);
-                *out = partial_top_k(&row, q, k, &mut idx);
-                if !s.w.dense {
-                    // Sparse result: only the support was written; re-zero
-                    // it so the next lane starts from a clean row.
-                    for &i in &s.w.active {
-                        row[i as usize] = 0.0;
+            self.qe.sweep_chunk(
+                &self.qe.block_scratch,
+                chunk.iter().copied(),
+                &mut (),
+                |w, idx| {
+                    for (lane, (&q, out)) in chunk.iter().zip(res_chunk.iter_mut()).enumerate() {
+                        copy_lane_into(w, lane, &mut row);
+                        *out = partial_top_k(&row, q, k, idx);
+                        if !w.dense {
+                            // Sparse result: only the support was written;
+                            // re-zero it so the next lane starts from a clean row.
+                            for &i in &w.active {
+                                row[i as usize] = 0.0;
+                            }
+                        }
                     }
-                }
-            }
-            s.w.clear();
-            self.qe.put_block_scratch(s);
+                },
+            );
         });
         results
     }

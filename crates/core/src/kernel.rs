@@ -258,8 +258,10 @@ impl RightMultiplier for PlainRightMultiplier {
     }
 
     fn apply_block(&self, xb: &[f64], yb: &mut [f64], lanes: usize) {
-        if lanes == BLOCK {
-            return self.apply_block_fixed::<BLOCK>(xb, yb);
+        match lanes {
+            1 => return self.apply_block_fixed::<1>(xb, yb),
+            BLOCK => return self.apply_block_fixed::<BLOCK>(xb, yb),
+            _ => {}
         }
         for xnode in 0..self.n {
             let inv = self.inv_deg[xnode];
@@ -376,8 +378,10 @@ impl RightMultiplier for CompressedRightMultiplier {
     }
 
     fn apply_block(&self, xb: &[f64], yb: &mut [f64], lanes: usize) {
-        if lanes == BLOCK {
-            return self.apply_block_fixed::<BLOCK>(xb, yb);
+        match lanes {
+            1 => return self.apply_block_fixed::<1>(xb, yb),
+            BLOCK => return self.apply_block_fixed::<BLOCK>(xb, yb),
+            _ => {}
         }
         // Algorithm 1 lines 5–7, lanes-wide: memoize Partial_{π(v)} for all
         // concentrators.
@@ -415,9 +419,10 @@ impl RightMultiplier for CompressedRightMultiplier {
 /// matrix `A` — the same lane layout as the graph kernels, with explicit
 /// per-entry weights instead of the uniform `1/|I(x)|` scaling.
 ///
-/// The query engine uses it with `A = Qᵀ` to advance batched `u_θ = e_qᵀQ^θ`
-/// state: `X · Q = X · (Qᵀ)ᵀ`, so adjacency indices are read once per
-/// 16-lane block in the θ direction too.
+/// The in-memory query engine owns one over `Q` (the Horner pass's dense
+/// step `X·Qᵀ`) and one over `Qᵀ` (the forward pass's `X·Q = X·(Qᵀ)ᵀ`),
+/// at one lane or a full block, and pushes sparse frontiers over the rows
+/// of the wrapped [`CsrRightMultiplier::matrix`].
 pub struct CsrRightMultiplier {
     a: Csr,
 }
@@ -433,6 +438,29 @@ impl CsrRightMultiplier {
     pub fn matrix(&self) -> &Csr {
         &self.a
     }
+
+    /// Fixed-width fast path: accumulate each output row in an `L`-lane
+    /// register block so the per-edge inner loop compiles to wide FMAs with
+    /// no bounds checks — the hot kernel of the query engine's dense
+    /// fallback.
+    fn apply_block_fixed<const L: usize>(&self, xb: &[f64], yb: &mut [f64]) {
+        for (xnode, dst) in yb[..self.a.rows() * L].chunks_exact_mut(L).enumerate() {
+            let mut acc = [0.0f64; L];
+            let mut nonempty = false;
+            for (y, v) in self.a.row_entries(xnode) {
+                let src: &[f64; L] = xb[y as usize * L..][..L].try_into().expect("L lanes");
+                for (a, s) in acc.iter_mut().zip(src) {
+                    *a += v * s;
+                }
+                nonempty = true;
+            }
+            if nonempty {
+                for (d, a) in dst.iter_mut().zip(acc) {
+                    *d += a;
+                }
+            }
+        }
+    }
 }
 
 impl RightMultiplier for CsrRightMultiplier {
@@ -441,29 +469,10 @@ impl RightMultiplier for CsrRightMultiplier {
     }
 
     fn apply_block(&self, xb: &[f64], yb: &mut [f64], lanes: usize) {
-        if lanes == BLOCK {
-            // Full-width fast path: accumulate each output row in a
-            // fixed-size register block so the per-edge inner loop compiles
-            // to wide FMAs with no bounds checks — this is the hot kernel
-            // of the batched dense fallback.
-            for (xnode, dst) in yb.chunks_exact_mut(BLOCK).enumerate() {
-                let mut acc = [0.0f64; BLOCK];
-                let mut nonempty = false;
-                for (y, v) in self.a.row_entries(xnode) {
-                    let src: &[f64; BLOCK] =
-                        xb[y as usize * BLOCK..][..BLOCK].try_into().expect("BLOCK lanes");
-                    for (a, s) in acc.iter_mut().zip(src) {
-                        *a += v * s;
-                    }
-                    nonempty = true;
-                }
-                if nonempty {
-                    for (d, a) in dst.iter_mut().zip(acc) {
-                        *d += a;
-                    }
-                }
-            }
-            return;
+        match lanes {
+            1 => return self.apply_block_fixed::<1>(xb, yb),
+            BLOCK => return self.apply_block_fixed::<BLOCK>(xb, yb),
+            _ => {}
         }
         for xnode in 0..self.a.rows() {
             let acc = &mut yb[xnode * lanes..(xnode + 1) * lanes];
@@ -509,6 +518,28 @@ impl AccessRightMultiplier {
         AccessRightMultiplier { src, inv_in, transposed: true }
     }
 
+    /// Row `i` of the wrapped matrix as `f(col, weight)`, columns ascending:
+    /// for `Q`, the in-list `I(i)` weighted `1/|I(i)|`; for `Qᵀ`, the
+    /// out-list `O(i)` with entry `j` weighted `1/|I(j)|` (every
+    /// out-neighbor has in-degree ≥ 1). The query engine's sparse pushes
+    /// walk these rows.
+    pub(crate) fn for_each_row_entry(&self, i: u32, mut f: impl FnMut(u32, f64)) {
+        if self.transposed {
+            self.src.for_each_out(i, &mut |j| f(j, self.inv_in[j as usize]));
+        } else {
+            let w = self.inv_in[i as usize];
+            if w != 0.0 {
+                self.src.for_each_in(i, &mut |y| f(y, w));
+            }
+        }
+    }
+
+    /// The access source's own resident accounting plus the `O(n)` weight
+    /// vector.
+    pub(crate) fn resident_bytes(&self) -> usize {
+        self.src.resident_bytes() + self.inv_in.len() * std::mem::size_of::<f64>()
+    }
+
     /// Fixed-width fast path, mirroring the other kernels' register-block
     /// accumulation (the virtual per-node neighbor call dominates here, but
     /// the lane arithmetic still vectorizes).
@@ -552,8 +583,10 @@ impl RightMultiplier for AccessRightMultiplier {
     }
 
     fn apply_block(&self, xb: &[f64], yb: &mut [f64], lanes: usize) {
-        if lanes == BLOCK {
-            return self.apply_block_fixed::<BLOCK>(xb, yb);
+        match lanes {
+            1 => return self.apply_block_fixed::<1>(xb, yb),
+            BLOCK => return self.apply_block_fixed::<BLOCK>(xb, yb),
+            _ => {}
         }
         for xnode in 0..self.inv_in.len() {
             if self.transposed {

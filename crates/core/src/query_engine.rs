@@ -15,17 +15,18 @@
 //!   `u_θ = e_qᵀQ^θ` and accumulates the `V_λ`, a Horner pass folds
 //!   `r ← r·Qᵀ + V_λ`. At most `2K` advances per query instead of the
 //!   lattice's `O(K²)`.
-//! * **Sparse frontiers** — every advance propagates only the active
-//!   support (push-style over CSR rows) with an epsilon threshold, falling
-//!   back to a dense step automatically once the frontier saturates past a
-//!   density cutoff. Per-query scratch lives in a pool; the hot path
-//!   allocates nothing after warmup.
-//! * **Batched lanes** — [`QueryEngine::query_batch`] runs the same
-//!   two-pass sweep over `BLOCK`-lane chunks (lane-major frontiers over
-//!   the chunk's union support, grouped by weakly-connected component so
-//!   lanes overlap), with the dense fallback in the blocked lane kernels
-//!   behind [`crate::RightMultiplier`] — each adjacency index is read once
-//!   per chunk instead of once per query.
+//! * **One sweep, two lane widths** — the sweep is generic over a lane
+//!   count `L`: every frontier holds `L` queries lane-major over their
+//!   union support. [`QueryEngine::query`] and [`QueryEngine::top_k`] run
+//!   it at `L = 1`; [`QueryEngine::query_batch`] and the all-pairs engine
+//!   run it over `BLOCK`-lane chunks (grouped by weakly-connected
+//!   component so lanes overlap), so each adjacency index is read once per
+//!   chunk instead of once per query.
+//! * **Sparse frontiers** — every advance pushes only the active support
+//!   over CSR (or neighbor-list) rows with an epsilon threshold, falling
+//!   back to the blocked dense kernels behind [`crate::RightMultiplier`]
+//!   once the frontier saturates past a density cutoff. Scratch lives in a
+//!   pool per lane width; the hot path allocates nothing after warmup.
 //! * **Top-k** — [`QueryEngine::top_k`] selects the `k` best matches by
 //!   partial selection (`select_nth_unstable`) instead of sorting the full
 //!   row.
@@ -46,7 +47,7 @@ use ssr_graph::components::{weakly_connected_components, weakly_connected_compon
 use ssr_graph::{DiGraph, NeighborAccess, NodeId};
 use ssr_linalg::{Csr, Dense};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Which SimRank\* series the engine evaluates.
@@ -60,27 +61,11 @@ pub enum SeriesKind {
 }
 
 /// Tuning knobs of the [`QueryEngine`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct QueryEngineOptions {
     /// Series the engine evaluates (geometric by default).
     pub kind: SeriesKind,
-    /// Frontier entries below this magnitude are dropped during sparse
-    /// propagation, and lattice cells whose remaining coefficient mass is
-    /// below it are skipped. Since every propagated value is non-negative
-    /// and bounded by 1, the per-entry output error is bounded by a small
-    /// multiple of this threshold — the default `1e-13` keeps results well
-    /// within the `1e-10` exactness the tests pin. `0.0` disables pruning.
-    pub frontier_epsilon: f64,
-    /// Once a frontier holds more than this fraction of all nodes, the
-    /// sweep switches that vector to the dense path (sparse bookkeeping
-    /// only pays while the support is genuinely small).
-    pub density_cutoff: f64,
-    /// The batched path's density cutoff. The blocked dense kernel's cost
-    /// is amortized over `BLOCK` lanes, so the union frontier profits from
-    /// staying sparse longer — the default (0.25) is higher than the
-    /// scalar `density_cutoff`.
-    pub batch_density_cutoff: f64,
-    /// Build the batched lane kernel over the edge-concentrated graph
+    /// Run the Horner pass's dense step over the edge-concentrated graph
     /// (Algorithm 1's memoization) instead of raw adjacency. Compression is
     /// a preprocessing phase — the paper times it separately — so it runs
     /// eagerly at engine construction.
@@ -91,63 +76,91 @@ pub struct QueryEngineOptions {
     /// same bits whether it runs alone, in any batch, or next to any other
     /// lanes. The sweep stays on the sparse path (no dense fallback), active
     /// lists are sorted before every advance so floating-point accumulation
-    /// order is canonical, and `frontier_epsilon` is forced to `0` (the
-    /// union-support pruning rule would let one lane's magnitude decide
-    /// another lane's support). Serving layers that cache results keyed by
+    /// order is canonical, and frontier pruning is off (the union-support
+    /// pruning rule would let one lane's magnitude decide another lane's
+    /// support). Serving layers that cache results keyed by
     /// `(node, params)` need this — otherwise a cache hit and a recompute
     /// can disagree in the last ulps. Costs the pruning/densify speedups;
     /// off by default.
     pub deterministic: bool,
 }
 
-impl Default for QueryEngineOptions {
-    fn default() -> Self {
-        QueryEngineOptions {
-            kind: SeriesKind::Geometric,
-            frontier_epsilon: 1e-13,
-            density_cutoff: 0.125,
-            batch_density_cutoff: 0.25,
-            compress: false,
-            compress_options: CompressOptions::default(),
-            deterministic: false,
-        }
-    }
-}
-
 impl QueryEngineOptions {
     /// A stable 64-bit key over every option that can change query
-    /// *results* (series kind, epsilon, cutoffs, compression, determinism).
-    /// Unlike `Hash`, the value is fixed across processes and releases of
-    /// the standard library, so it is safe to persist or to key a result
-    /// cache shared between runs. Combine with
-    /// [`SimStarParams::stable_key`] for a full result-identity key.
+    /// *results* (series kind, compression, determinism). Unlike `Hash`,
+    /// the value is fixed across processes and releases of the standard
+    /// library, so it is safe to persist or to key a result cache shared
+    /// between runs. Combine with [`SimStarParams::stable_key`] for a full
+    /// result-identity key.
     pub fn stable_key(&self) -> u64 {
         let mut h = crate::params::fnv1a(crate::params::Fnv1a::BASIS);
         h = h.push(match self.kind {
             SeriesKind::Geometric => 1,
             SeriesKind::Exponential => 2,
         });
-        h = h.push(self.frontier_epsilon.to_bits());
-        h = h.push(self.density_cutoff.to_bits());
-        h = h.push(self.batch_density_cutoff.to_bits());
         h = h.push(self.compress as u64);
         h = h.push(self.deterministic as u64);
         h.0
     }
 }
 
-/// A sparse-or-dense `n`-vector: `vals` is always dense storage, but while
-/// `dense` is false only the indices in `active` are nonzero (everything
-/// else is guaranteed zero), so propagation touches only the support.
-struct Frontier {
-    vals: Vec<f64>,
-    active: Vec<u32>,
-    dense: bool,
+/// Frontier entries below this magnitude are dropped during sparse
+/// propagation, and lattice cells whose remaining coefficient mass is below
+/// it are skipped. Every propagated value is non-negative and bounded by 1,
+/// so the per-entry output error is a small multiple of this threshold —
+/// well within the `1e-10` exactness the tests pin. Deterministic engines
+/// prune nothing.
+const FRONTIER_EPSILON: f64 = 1e-13;
+
+/// Active-node count past which an `L`-lane frontier switches to the dense
+/// kernel (sparse bookkeeping only pays while the support is small):
+/// `n/8` for one lane, `n/4` for a block, whose dense step is amortized
+/// over `L` lanes so the union frontier profits from staying sparse longer.
+fn densify_cutoff<const L: usize>(n: usize) -> usize {
+    if L == 1 {
+        n / 8
+    } else {
+        n / 4
+    }
 }
 
-impl Frontier {
+/// `L` lanes of an `n`-vector, lane-major (`vals[node·L + lane]`). While
+/// `dense` is false only the nodes in `active` — the **union** support of
+/// the lanes, flagged in `member` so pushes test "already active" in
+/// `O(1)` — are nonzero, so propagation touches only the support.
+pub(crate) struct Frontier<const L: usize> {
+    vals: Vec<f64>,
+    pub(crate) active: Vec<u32>,
+    member: Vec<bool>,
+    pub(crate) dense: bool,
+}
+
+impl<const L: usize> Frontier<L> {
     fn new(n: usize) -> Self {
-        Frontier { vals: vec![0.0; n], active: Vec::new(), dense: false }
+        Frontier {
+            vals: vec![0.0; n * L],
+            active: Vec::new(),
+            member: vec![false; n],
+            dense: false,
+        }
+    }
+
+    /// The `L` lane values of `node`, activating it if needed. The
+    /// fixed-size return type keeps the per-edge axpy vectorizable.
+    #[inline]
+    fn insert(&mut self, node: u32) -> &mut [f64; L] {
+        let i = node as usize;
+        if !self.dense && !self.member[i] {
+            self.member[i] = true;
+            self.active.push(node);
+        }
+        (&mut self.vals[i * L..(i + 1) * L]).try_into().expect("L lanes")
+    }
+
+    /// A copy of the `L` lane values of `node`.
+    #[inline]
+    fn lanes(&self, node: u32) -> [f64; L] {
+        self.vals[node as usize * L..][..L].try_into().expect("L lanes")
     }
 
     /// Resets to the all-zero sparse state.
@@ -156,88 +169,7 @@ impl Frontier {
             self.vals.fill(0.0);
         } else {
             for &i in &self.active {
-                self.vals[i as usize] = 0.0;
-            }
-        }
-        self.active.clear();
-        self.dense = false;
-    }
-
-    fn is_zero(&self) -> bool {
-        if self.dense {
-            self.vals.iter().all(|&v| v == 0.0)
-        } else {
-            self.active.is_empty()
-        }
-    }
-
-    /// `self += c·src`, preserving the zero-means-inactive invariant
-    /// (all propagated values are non-negative, so sums never cancel).
-    fn axpy_from(&mut self, src: &Frontier, c: f64) {
-        if c == 0.0 || src.is_zero() {
-            return;
-        }
-        if src.dense {
-            if !self.dense {
-                self.dense = true;
-                self.active.clear();
-            }
-            for (d, &sv) in self.vals.iter_mut().zip(&src.vals) {
-                *d += c * sv;
-            }
-        } else {
-            for &i in &src.active {
-                let add = c * src.vals[i as usize];
-                let slot = &mut self.vals[i as usize];
-                if !self.dense && *slot == 0.0 && add != 0.0 {
-                    self.active.push(i);
-                }
-                *slot += add;
-            }
-        }
-    }
-}
-
-/// The `BLOCK`-lane analogue of [`Frontier`] for the batched path:
-/// lane-major storage (`vals[node·BLOCK + lane]`), one active list for the
-/// **union** support of all lanes, and a membership bitmap so pushes can
-/// test "already active" in `O(1)` (the scalar "slot is still zero" trick
-/// doesn't work lane-wise — another lane may already hold the node).
-pub(crate) struct BlockFrontier {
-    pub(crate) vals: Vec<f64>,
-    pub(crate) active: Vec<u32>,
-    member: Vec<bool>,
-    pub(crate) dense: bool,
-}
-
-impl BlockFrontier {
-    fn new(n: usize) -> Self {
-        BlockFrontier {
-            vals: vec![0.0; n * BLOCK],
-            active: Vec::new(),
-            member: vec![false; n],
-            dense: false,
-        }
-    }
-
-    /// The `BLOCK` lane values of `node`, activating it if needed. The
-    /// fixed-size return type keeps the per-edge axpy vectorizable.
-    fn insert(&mut self, node: u32) -> &mut [f64; BLOCK] {
-        let i = node as usize;
-        if !self.dense && !self.member[i] {
-            self.member[i] = true;
-            self.active.push(node);
-        }
-        (&mut self.vals[i * BLOCK..(i + 1) * BLOCK]).try_into().expect("BLOCK lanes")
-    }
-
-    /// Resets to the all-zero sparse state.
-    pub(crate) fn clear(&mut self) {
-        if self.dense {
-            self.vals.fill(0.0);
-        } else {
-            for &i in &self.active {
-                self.vals[i as usize * BLOCK..(i as usize + 1) * BLOCK].fill(0.0);
+                self.vals[i as usize * L..(i as usize + 1) * L].fill(0.0);
                 self.member[i as usize] = false;
             }
         }
@@ -262,8 +194,18 @@ impl BlockFrontier {
         }
     }
 
-    /// `self += c·src`, lane-wise, maintaining the membership bookkeeping.
-    fn axpy_from(&mut self, src: &BlockFrontier, c: f64) {
+    /// Active support: the active-node count, or `n` when dense.
+    fn support(&self) -> usize {
+        if self.dense {
+            self.member.len()
+        } else {
+            self.active.len()
+        }
+    }
+
+    /// `self += c·src`, lane-wise, maintaining the membership bookkeeping
+    /// (all propagated values are non-negative, so sums never cancel).
+    fn axpy_from(&mut self, src: &Frontier<L>, c: f64) {
         if c == 0.0 || src.is_zero() {
             return;
         }
@@ -276,160 +218,85 @@ impl BlockFrontier {
             }
         } else {
             for &i in &src.active {
-                let ii = i as usize;
-                if !self.dense && !self.member[ii] {
-                    self.member[ii] = true;
-                    self.active.push(i);
-                }
-                let r = ii * BLOCK..(ii + 1) * BLOCK;
-                let srcv: &[f64; BLOCK] = src.vals[r.clone()].try_into().expect("BLOCK lanes");
-                let dst: &mut [f64; BLOCK] = (&mut self.vals[r]).try_into().expect("BLOCK lanes");
-                for (d, sv) in dst.iter_mut().zip(srcv) {
-                    *d += c * sv;
+                let sv = src.lanes(i);
+                for (d, s) in self.insert(i).iter_mut().zip(sv) {
+                    *d += c * s;
                 }
             }
         }
     }
 }
 
-/// Reusable per-chunk state for the batched path (four lane-major block
-/// frontiers plus the lane-major result accumulator, ≈ `5·8·BLOCK·n`
-/// bytes), pooled like [`QueryScratch`].
-pub(crate) struct BlockScratch {
-    u: BlockFrontier,
-    u_next: BlockFrontier,
-    /// Holds the folded chunk result after [`QueryEngine::sweep_block_core`];
-    /// consumers read it lane-wise and must `clear()` it before reuse.
-    pub(crate) w: BlockFrontier,
-    w_next: BlockFrontier,
-    /// Lane-major `V_λ` accumulators (same lifecycle as
-    /// [`QueryScratch::vs`]).
-    vs: Vec<BlockFrontier>,
-}
-
-impl BlockScratch {
-    fn new(n: usize, k: usize) -> Self {
-        BlockScratch {
-            u: BlockFrontier::new(n),
-            u_next: BlockFrontier::new(n),
-            w: BlockFrontier::new(n),
-            w_next: BlockFrontier::new(n),
-            vs: (0..=k).map(|_| BlockFrontier::new(n)).collect(),
-        }
-    }
-}
-
-/// Reusable per-query state: the two lattice vectors plus their advance
-/// targets, a row buffer for top-k queries, and an index buffer for partial
-/// selection. Pooled by the engine — no allocation on the hot path after
-/// warmup.
-struct QueryScratch {
-    u: Frontier,
-    u_next: Frontier,
-    w: Frontier,
-    w_next: Frontier,
-    row: Vec<f64>,
-    idx: Vec<u32>,
+/// Reusable per-sweep state (four frontiers, the `V_λ` accumulators, and an
+/// index buffer for top-k selection — ≈ `(K+5)·8·L·n` bytes), pooled by the
+/// engine per lane width: no allocation on the hot path after warmup.
+pub(crate) struct Scratch<const L: usize> {
+    u: Frontier<L>,
+    u_next: Frontier<L>,
+    w: Frontier<L>,
+    w_next: Frontier<L>,
     /// `vs[λ]` accumulates `V_λ = Σ_θ c[θ][λ]·u_θ` during the sweep's
     /// forward pass; cleared (cost proportional to support) by the Horner
     /// pass that consumes them.
-    vs: Vec<Frontier>,
+    vs: Vec<Frontier<L>>,
+    idx: Vec<u32>,
 }
 
-impl QueryScratch {
+impl<const L: usize> Scratch<L> {
     fn new(n: usize, k: usize) -> Self {
-        QueryScratch {
+        Scratch {
             u: Frontier::new(n),
             u_next: Frontier::new(n),
             w: Frontier::new(n),
             w_next: Frontier::new(n),
-            row: vec![0.0; n],
-            idx: Vec::new(),
             vs: (0..=k).map(|_| Frontier::new(n)).collect(),
+            idx: Vec::new(),
         }
     }
 }
 
-/// How the engine reaches the graph's adjacency.
+/// How the engine reaches the graph's adjacency: the blocked kernels for
+/// `X·Qᵀ` (`q`) and `X·Q` (`qt`). Each kernel's rows also feed the sparse
+/// pushes of the opposite direction (see [`QueryEngine::directions`]).
 enum Backing {
     /// Materialised `Q`/`Qᵀ` CSR matrices — the fully-resident path.
-    Memory { qmat: Csr, qt: Csr },
+    Memory { q: CsrRightMultiplier, qt: CsrRightMultiplier },
     /// On-demand neighbor lists (e.g. a random-access `.ssg` store
-    /// decoding adjacency off compressed bytes) plus the precomputed
-    /// `inv_in[v] = 1/|I(v)|` weights — `Q` rows are in-lists scaled by
-    /// the row's weight, `Qᵀ` rows are out-lists scaled per target.
-    Access { src: Arc<dyn NeighborAccess>, inv_in: Arc<Vec<f64>> },
+    /// decoding adjacency off compressed bytes) weighted by the shared
+    /// `1/|I(v)|` vector.
+    Access { q: AccessRightMultiplier, qt: AccessRightMultiplier },
 }
 
-/// Row-push view of a sparse operator: `f(col, weight)` for every entry of
-/// row `i`, columns strictly ascending (the order every backing's contract
+/// One advance direction `x ← x·A`: sparse pushes walk the rows of `A`,
+/// the dense fallback runs the blocked kernel computing `X·A`.
+struct Direction<'a> {
+    rows: Rows<'a>,
+    dense: &'a dyn RightMultiplier,
+}
+
+/// Row-push view of `A`: `f(col, weight)` for every entry of row `i`,
+/// columns strictly ascending (the order every backing's contract
 /// guarantees, which is what makes deterministic-mode results independent
 /// of the backing).
-trait PushRows {
-    fn push_row(&self, i: u32, f: impl FnMut(u32, f64));
+enum Rows<'a> {
+    Csr(&'a Csr),
+    /// The matrix an access kernel wraps (see
+    /// [`AccessRightMultiplier::for_each_row_entry`]).
+    Access(&'a AccessRightMultiplier),
 }
 
-/// Rows of a materialised CSR matrix.
-struct CsrRows<'a>(&'a Csr);
-
-impl PushRows for CsrRows<'_> {
+impl Rows<'_> {
     #[inline]
     fn push_row(&self, i: u32, mut f: impl FnMut(u32, f64)) {
-        for (j, v) in self.0.row_entries(i as usize) {
-            f(j, v);
+        match self {
+            Rows::Csr(a) => {
+                for (j, v) in a.row_entries(i as usize) {
+                    f(j, v);
+                }
+            }
+            Rows::Access(k) => k.for_each_row_entry(i, f),
         }
     }
-}
-
-/// `Q` rows from a neighbor-access backing: row `x` is `I(x)`, every entry
-/// weighted `1/|I(x)|` — exactly [`Csr::backward_transition`]'s rows.
-struct AccessQRows<'a> {
-    src: &'a dyn NeighborAccess,
-    inv_in: &'a [f64],
-}
-
-impl PushRows for AccessQRows<'_> {
-    #[inline]
-    fn push_row(&self, i: u32, mut f: impl FnMut(u32, f64)) {
-        let w = self.inv_in[i as usize];
-        if w != 0.0 {
-            self.src.for_each_in(i, &mut |y| f(y, w));
-        }
-    }
-}
-
-/// `Qᵀ` rows from a neighbor-access backing: row `i` is `O(i)`, entry `j`
-/// weighted `1/|I(j)|` (every out-neighbor has in-degree ≥ 1).
-struct AccessQtRows<'a> {
-    src: &'a dyn NeighborAccess,
-    inv_in: &'a [f64],
-}
-
-impl PushRows for AccessQtRows<'_> {
-    #[inline]
-    fn push_row(&self, i: u32, mut f: impl FnMut(u32, f64)) {
-        self.src.for_each_out(i, &mut |j| f(j, self.inv_in[j as usize]));
-    }
-}
-
-/// Lane kernel used by the batched path for the λ-direction advance. The
-/// plain variant is built lazily on the first batched call (it clones `Q`;
-/// scalar-only workloads never pay for it), while the compressed variant
-/// is built eagerly at engine construction — compression is a
-/// preprocessing phase the paper times separately. The access variant
-/// walks the backing's neighbor lists directly.
-enum LaneKernel {
-    Plain(OnceLock<CsrRightMultiplier>),
-    Compressed(CompressedRightMultiplier),
-    Access(AccessRightMultiplier),
-}
-
-/// θ-direction lane kernel (`X·Q`).
-enum ThetaKernel {
-    /// Built on first batched call (clones `Qᵀ`).
-    Csr(OnceLock<CsrRightMultiplier>),
-    /// Out-neighbor walks over the access backing.
-    Access(AccessRightMultiplier),
 }
 
 /// Lifetime work counters an engine accumulates across every sweep it
@@ -543,6 +410,56 @@ impl EngineTrace {
     }
 }
 
+/// Per-advance observer, threaded through the sweep as a type parameter:
+/// the `()` impl compiles to the bare advance (no timing calls, no
+/// branch), the [`EngineTrace`] impl times and records every advance.
+/// Observation happens strictly around an advance, so traced results stay
+/// bitwise identical to untraced ones.
+pub(crate) trait StepHook {
+    /// Runs `advance` on `cur`: the advance of pass `pass` (`0` = forward,
+    /// `1` = Horner) that computes term `index`.
+    fn step<const L: usize>(
+        &mut self,
+        pass: u8,
+        index: usize,
+        cur: &mut Frontier<L>,
+        advance: impl FnOnce(&mut Frontier<L>),
+    );
+}
+
+impl StepHook for () {
+    #[inline(always)]
+    fn step<const L: usize>(
+        &mut self,
+        _: u8,
+        _: usize,
+        cur: &mut Frontier<L>,
+        advance: impl FnOnce(&mut Frontier<L>),
+    ) {
+        advance(cur)
+    }
+}
+
+impl StepHook for EngineTrace {
+    fn step<const L: usize>(
+        &mut self,
+        pass: u8,
+        index: usize,
+        cur: &mut Frontier<L>,
+        advance: impl FnOnce(&mut Frontier<L>),
+    ) {
+        let started = Instant::now();
+        advance(cur);
+        self.steps.push(EngineStep {
+            pass,
+            index,
+            frontier: cur.support(),
+            dense: cur.dense,
+            dur_ns: started.elapsed().as_nanos() as u64,
+        });
+    }
+}
+
 /// Amortized single-source SimRank\* query engine. See the module docs.
 ///
 /// ```
@@ -569,18 +486,18 @@ pub struct QueryEngine {
     theta_tail: Vec<f64>,
     params: SimStarParams,
     opts: QueryEngineOptions,
-    /// λ-direction lane kernel (`X·Qᵀ`) for the batched path; compressed
-    /// variant built eagerly when requested.
-    lambda_lanes: LaneKernel,
-    /// θ-direction lane kernel (`X·Q`).
-    theta_lanes: ThetaKernel,
+    /// The edge-concentrated `X·Qᵀ` kernel that replaces the Horner pass's
+    /// dense step when built with `compress` (built eagerly: compression is
+    /// a preprocessing phase the paper times separately).
+    compressed: Option<CompressedRightMultiplier>,
     /// Weakly-connected component label per node: the batched path groups
     /// queries by component so the lanes of a chunk share frontier support
     /// (lanes outside a node's component are provably zero — packing
     /// unrelated queries together wastes 15/16 of every lane operation).
     component: Vec<u32>,
-    scratch: Mutex<Vec<QueryScratch>>,
-    block_scratch: Mutex<Vec<BlockScratch>>,
+    /// Scratch pools of the one-lane and the `BLOCK`-lane sweep.
+    scratch: Mutex<Vec<Scratch<1>>>,
+    pub(crate) block_scratch: Mutex<Vec<Scratch<BLOCK>>>,
     /// Lifetime work counters (sweeps, advances, lane occupancy, frontier
     /// density); sweeps flush local tallies here.
     stats: EngineStats,
@@ -593,26 +510,25 @@ impl QueryEngine {
     }
 
     /// Builds an engine, precomputing `Q`, `Qᵀ`, the lattice coefficient
-    /// table, and (if `opts.compress`) the edge-concentrated lane kernel.
+    /// table, and (if `opts.compress`) the edge-concentrated kernel.
     pub fn with_options(g: &DiGraph, params: SimStarParams, opts: QueryEngineOptions) -> Self {
-        let opts = validate_options(params, opts);
-        let qmat = Csr::backward_transition(g);
-        let qt = qmat.transpose();
-        let lambda_lanes = if opts.compress {
-            LaneKernel::Compressed(CompressedRightMultiplier::new(g, &opts.compress_options))
-        } else {
-            LaneKernel::Plain(OnceLock::new())
-        };
-        let (coeffs, theta_tail) = coeff_table(&params, &opts);
+        params.validate();
+        let q = Csr::backward_transition(g);
+        let qt = q.transpose();
+        let compressed =
+            opts.compress.then(|| CompressedRightMultiplier::new(g, &opts.compress_options));
+        let (coeffs, theta_tail) = coeff_table(&params, opts.kind);
         QueryEngine {
             n: g.node_count(),
-            backing: Backing::Memory { qmat, qt },
+            backing: Backing::Memory {
+                q: CsrRightMultiplier::new(q),
+                qt: CsrRightMultiplier::new(qt),
+            },
             coeffs,
             theta_tail,
             params,
             opts,
-            lambda_lanes,
-            theta_lanes: ThetaKernel::Csr(OnceLock::new()),
+            compressed,
             component: weakly_connected_components(g).label,
             scratch: Mutex::new(Vec::new()),
             block_scratch: Mutex::new(Vec::new()),
@@ -639,7 +555,7 @@ impl QueryEngine {
         params: SimStarParams,
         opts: QueryEngineOptions,
     ) -> Self {
-        let opts = validate_options(params, opts);
+        params.validate();
         assert!(
             !opts.compress,
             "edge concentration needs an in-memory graph; load the graph fully to compress"
@@ -668,19 +584,18 @@ impl QueryEngine {
             }),
         )
         .label;
-        let (coeffs, theta_tail) = coeff_table(&params, &opts);
+        let (coeffs, theta_tail) = coeff_table(&params, opts.kind);
         QueryEngine {
             n,
-            lambda_lanes: LaneKernel::Access(AccessRightMultiplier::q(src.clone(), inv_in.clone())),
-            theta_lanes: ThetaKernel::Access(AccessRightMultiplier::q_transpose(
-                src.clone(),
-                inv_in.clone(),
-            )),
-            backing: Backing::Access { src, inv_in },
+            backing: Backing::Access {
+                q: AccessRightMultiplier::q(src.clone(), inv_in.clone()),
+                qt: AccessRightMultiplier::q_transpose(src, inv_in),
+            },
             coeffs,
             theta_tail,
             params,
             opts,
+            compressed: None,
             component,
             scratch: Mutex::new(Vec::new()),
             block_scratch: Mutex::new(Vec::new()),
@@ -737,19 +652,17 @@ impl QueryEngine {
     /// Bytes of graph-proportional state this engine holds resident: the
     /// backing (both CSR matrices, or the access source's own accounting
     /// plus the `O(n)` weight vector), the component labels, and the
-    /// eagerly-built lane kernels. Scratch pools and coefficient tables
-    /// (`O(K²)`) are excluded — they are query-, not graph-, proportional.
+    /// compressed kernel. Scratch pools and coefficient tables (`O(K²)`)
+    /// are excluded — they are query-, not graph-, proportional.
     pub fn resident_bytes(&self) -> usize {
         let backing = match &self.backing {
-            Backing::Memory { qmat, qt } => qmat.estimated_bytes() + qt.estimated_bytes(),
-            Backing::Access { src, inv_in } => {
-                src.resident_bytes() + inv_in.len() * std::mem::size_of::<f64>()
+            Backing::Memory { q, qt } => {
+                q.matrix().estimated_bytes() + qt.matrix().estimated_bytes()
             }
+            // Both kernels share one source and one weight vector.
+            Backing::Access { q, .. } => q.resident_bytes(),
         };
-        let kernels = match &self.lambda_lanes {
-            LaneKernel::Compressed(k) => k.compressed().estimated_bytes(),
-            LaneKernel::Plain(_) | LaneKernel::Access(_) => 0,
-        };
+        let kernels = self.compressed.as_ref().map_or(0, |k| k.compressed().estimated_bytes());
         backing + kernels + self.component.len() * std::mem::size_of::<u32>()
     }
 
@@ -768,12 +681,9 @@ impl QueryEngine {
         self.stats.snapshot()
     }
 
-    /// Compression ratio of the batched lane kernel (0 when not compressed).
+    /// Compression ratio of the Horner-pass kernel (0 when not compressed).
     pub fn compression_ratio(&self) -> f64 {
-        match &self.lambda_lanes {
-            LaneKernel::Plain(_) | LaneKernel::Access(_) => 0.0,
-            LaneKernel::Compressed(k) => k.compression_ratio(),
-        }
+        self.compressed.as_ref().map_or(0.0, |k| k.compression_ratio())
     }
 
     /// Single-source scores `ŝ(q, ·)` as a fresh vector.
@@ -788,61 +698,54 @@ impl QueryEngine {
     pub fn query_into(&self, q: NodeId, out: &mut [f64]) {
         assert!((q as usize) < self.n, "query node out of range");
         assert_eq!(out.len(), self.n, "output buffer size");
-        out.fill(0.0);
-        let mut s = self.take_scratch();
-        self.sweep(q, out, &mut s);
-        self.put_scratch(s);
+        // One lane: the folded frontier's values are the row itself.
+        self.sweep_chunk(&self.scratch, std::iter::once(q), &mut (), |w, _| {
+            out.copy_from_slice(&w.vals)
+        });
     }
 
     /// Top-`k` most-similar nodes to `q` (excluding `q`, ties broken by
     /// ascending id) by partial selection — no full-row sort.
     pub fn top_k(&self, q: NodeId, k: usize) -> Vec<(NodeId, f64)> {
         assert!((q as usize) < self.n, "query node out of range");
-        let mut s = self.take_scratch();
-        s.row.fill(0.0);
-        let mut row = std::mem::take(&mut s.row);
-        self.sweep(q, &mut row, &mut s);
-        let top = partial_top_k(&row, q, k, &mut s.idx);
-        s.row = row;
-        self.put_scratch(s);
-        top
+        self.sweep_chunk(&self.scratch, std::iter::once(q), &mut (), |w, idx| {
+            partial_top_k(&w.vals, q, k, idx)
+        })
     }
 
     /// Batched single-source scores: row `i` of the result is
-    /// `ŝ(queries[i], ·)`. Queries run through the block sweep in
-    /// `BLOCK`-lane chunks, so adjacency indices are read once per chunk
-    /// instead of once per query — sparse pushes and the blocked dense lane
-    /// kernels alike.
+    /// `ŝ(queries[i], ·)`. Queries run through the sweep in `BLOCK`-lane
+    /// chunks, so adjacency indices are read once per chunk instead of once
+    /// per query — sparse pushes and the blocked dense kernels alike.
     pub fn query_batch(&self, queries: &[NodeId]) -> Dense {
-        self.query_batch_inner(queries, None)
+        self.query_batch_with(queries, &mut ())
     }
 
     /// [`Self::query_batch`] with per-advance introspection appended to
     /// `trace`. Results are bitwise identical to the untraced call — the
     /// only difference is timing capture around each frontier advance.
     pub fn query_batch_traced(&self, queries: &[NodeId], trace: &mut EngineTrace) -> Dense {
-        self.query_batch_inner(queries, Some(trace))
+        self.query_batch_with(queries, trace)
     }
 
-    fn query_batch_inner(&self, queries: &[NodeId], mut trace: Option<&mut EngineTrace>) -> Dense {
+    fn query_batch_with(&self, queries: &[NodeId], hook: &mut impl StepHook) -> Dense {
         for &q in queries {
             assert!((q as usize) < self.n, "query node out of range");
         }
         let mut out = Dense::zeros(queries.len(), self.n);
-        if queries.is_empty() || self.n == 0 {
-            return out;
-        }
         // Locality-aware chunking: group queries by weakly-connected
         // component so the lanes of each chunk overlap in support. Each
         // lane's sweep is independent, so reordering changes execution
         // grouping only — row `i` of the result is bitwise identical.
         let mut order: Vec<(usize, NodeId)> = queries.iter().copied().enumerate().collect();
         order.sort_by_key(|&(i, q)| (self.component[q as usize], q, i));
-        let mut s = self.take_block_scratch();
         for chunk in order.chunks(BLOCK) {
-            self.sweep_block(chunk, &mut out, &mut s, trace.as_deref_mut());
+            self.sweep_chunk(&self.block_scratch, chunk.iter().map(|&(_, q)| q), hook, |w, _| {
+                for (lane, &(row, _)) in chunk.iter().enumerate() {
+                    copy_lane_into(w, lane, out.row_mut(row));
+                }
+            });
         }
-        self.put_block_scratch(s);
         out
     }
 
@@ -874,7 +777,32 @@ impl QueryEngine {
             .collect()
     }
 
-    /// The sweep behind every query. The `(θ, λ)` lattice
+    /// Runs [`Self::sweep`] for one chunk of at most `L` queries on a
+    /// scratch from `pool`, then hands the folded result (lane `i` holds
+    /// the `i`-th query's row) and the scratch's selection buffer to
+    /// `read`. `&self` only touches shared immutable state, so disjoint
+    /// chunks may sweep concurrently — the all-pairs engine's workers do.
+    pub(crate) fn sweep_chunk<const L: usize, R>(
+        &self,
+        pool: &Mutex<Vec<Scratch<L>>>,
+        queries: impl ExactSizeIterator<Item = NodeId>,
+        hook: &mut impl StepHook,
+        read: impl FnOnce(&Frontier<L>, &mut Vec<u32>) -> R,
+    ) -> R {
+        let mut s = pool
+            .lock()
+            .expect("scratch pool poisoned")
+            .pop()
+            .unwrap_or_else(|| Scratch::new(self.n, self.params.iterations));
+        self.sweep(queries, &mut s, hook);
+        let out = read(&s.w, &mut s.idx);
+        s.w.clear();
+        pool.lock().expect("scratch pool poisoned").push(s);
+        out
+    }
+
+    /// The sweep behind every query, over `L` lanes at once
+    /// (`queries[lane]` seeds lane `lane`). The `(θ, λ)` lattice
     /// `Σ_θ Σ_{λ≤K−θ} c[θ][λ]·u_θ(Qᵀ)^λ` is re-associated as
     /// `Σ_λ V_λ(Qᵀ)^λ` with `V_λ = Σ_{θ≤K−λ} c[θ][λ]·u_θ`: a forward pass
     /// advances `u_θ = e_qᵀQ^θ` and accumulates the `V_λ`, then a Horner
@@ -883,61 +811,34 @@ impl QueryEngine {
     /// sparse with automatic dense fallback — and a pure re-association of
     /// the same non-negative terms, so results match the dense lattice
     /// reference ([`crate::single_source::single_source_dense`]) to a few
-    /// ulps per entry. `out` must be zeroed; scratch frontiers must be
-    /// cleared (the sweep restores that invariant before returning).
-    fn sweep(&self, q: NodeId, out: &mut [f64], s: &mut QueryScratch) {
-        match &self.backing {
-            Backing::Memory { qmat, qt } => self.sweep_with(
-                q,
-                out,
-                s,
-                &CsrRows(qmat),
-                &CsrRows(qt),
-                |x, y| qmat.vec_mul_into(x, y),
-                |x, y| qmat.mul_vec_into(x, y),
-            ),
-            Backing::Access { src, inv_in } => self.sweep_with(
-                q,
-                out,
-                s,
-                &AccessQRows { src: &**src, inv_in },
-                &AccessQtRows { src: &**src, inv_in },
-                |x, y| dense_u_step(&**src, inv_in, x, y),
-                |x, y| dense_r_step(&**src, inv_in, x, y),
-            ),
-        }
-    }
-
-    /// [`Self::sweep`] generic over the backing's row views: `q_rows`
-    /// pushes `Q` rows (u-advance), `qt_rows` pushes `Qᵀ` rows
-    /// (Horner-advance), with the matching dense fallback steps.
-    #[allow(clippy::too_many_arguments)]
-    fn sweep_with(
+    /// ulps per entry. Leaves the folded result in `s.w` and every other
+    /// scratch frontier cleared; `s.w` must be cleared before the scratch
+    /// is reused.
+    fn sweep<const L: usize>(
         &self,
-        q: NodeId,
-        out: &mut [f64],
-        s: &mut QueryScratch,
-        q_rows: &impl PushRows,
-        qt_rows: &impl PushRows,
-        q_dense: impl Fn(&[f64], &mut [f64]),
-        qt_dense: impl Fn(&[f64], &mut [f64]),
+        queries: impl ExactSizeIterator<Item = NodeId>,
+        s: &mut Scratch<L>,
+        hook: &mut impl StepHook,
     ) {
+        debug_assert!(queries.len() <= L);
         let k = self.params.iterations;
-        let eps = self.opts.frontier_epsilon;
         let det = self.opts.deterministic;
-        let cutoff = (self.opts.density_cutoff * self.n as f64) as usize;
+        let eps = if det { 0.0 } else { FRONTIER_EPSILON };
+        let cutoff = densify_cutoff::<L>(self.n);
+        let (forward, horner) = self.directions();
+        let lanes = queries.len() as u64;
         // Work tallies, kept in locals on the hot path and flushed to the
         // shared atomics once per sweep.
-        let (mut iters, mut dense_steps, mut f_active, mut f_slots) = (0u64, 0u64, 0u64, 0u64);
-        let mut tally = |dense: bool, active: usize, n: usize| {
+        let (mut iters, mut dense_steps, mut f_active) = (0u64, 0u64, 0u64);
+        let mut tally = |f: &Frontier<L>| {
             iters += 1;
-            dense_steps += dense as u64;
-            f_active += if dense { n as u64 } else { active as u64 };
-            f_slots += n as u64;
+            dense_steps += f.dense as u64;
+            f_active += f.support() as u64;
         };
+        for (lane, q) in queries.enumerate() {
+            s.u.insert(q)[lane] = 1.0;
+        }
         // Forward pass: u_θ = e_qᵀQ^θ; V_λ += c[θ][λ]·u_θ for λ ≤ K−θ.
-        s.u.vals[q as usize] = 1.0;
-        s.u.active.push(q);
         for theta in 0..=k {
             if eps > 0.0 && self.theta_tail[theta] < eps {
                 break;
@@ -948,9 +849,10 @@ impl QueryEngine {
             if theta == k {
                 break;
             }
-            // u ← u·Q: push over Q rows, or dense `uᵀ·Q`.
-            advance(q_rows, &mut s.u, &mut s.u_next, eps, cutoff, det, &q_dense);
-            tally(s.u.dense, s.u.active.len(), self.n);
+            hook.step(0, theta, &mut s.u, |u| {
+                advance(&forward, u, &mut s.u_next, eps, cutoff, det)
+            });
+            tally(&s.u);
             if s.u.is_zero() {
                 break;
             }
@@ -962,228 +864,61 @@ impl QueryEngine {
         // free.
         for lambda in (0..=k).rev() {
             if !s.w.is_zero() {
-                // r ← r·Qᵀ: push over Qᵀ rows, or dense `Q·r`.
-                advance(qt_rows, &mut s.w, &mut s.w_next, eps, cutoff, det, &qt_dense);
-                tally(s.w.dense, s.w.active.len(), self.n);
+                hook.step(1, lambda, &mut s.w, |w| {
+                    advance(&horner, w, &mut s.w_next, eps, cutoff, det)
+                });
+                tally(&s.w);
             }
             s.w.axpy_from(&s.vs[lambda], 1.0);
             s.vs[lambda].clear();
         }
-        accumulate(out, &s.w, 1.0);
-        s.w.clear();
-        self.stats.flush(1, iters, dense_steps, f_active, f_slots);
-    }
-
-    /// The sweep for one chunk of at most `BLOCK` queries
-    /// (`chunk[lane] = (out_row, query node)`): runs
-    /// [`Self::sweep_block_core`] and transposes the folded result into the
-    /// (zeroed) rows of `out`.
-    fn sweep_block(
-        &self,
-        chunk: &[(usize, NodeId)],
-        out: &mut Dense,
-        s: &mut BlockScratch,
-        trace: Option<&mut EngineTrace>,
-    ) {
-        self.sweep_block_core_traced(chunk.iter().map(|&(_, q)| q), s, trace);
-        for (lane, &(out_row, _)) in chunk.iter().enumerate() {
-            copy_lane_into(&s.w, lane, out.row_mut(out_row));
+        self.stats.flush(lanes, iters, dense_steps, f_active, iters * self.n as u64);
+        if L > 1 {
+            self.stats.flush_lanes(lanes, L as u64);
         }
-        s.w.clear();
     }
 
-    /// The two-pass Horner sweep for one chunk of at most `BLOCK` queries,
-    /// identical in structure to [`Self::sweep`] but with every frontier
-    /// carrying `BLOCK` lanes (the union support of the chunk) and the
-    /// dense fallback running the blocked lane kernels from
-    /// [`crate::kernel`], so adjacency indices are read once per chunk
-    /// instead of once per query. Leaves the folded result in `s.w`
-    /// (lane-major); the caller reads it (e.g. via [`copy_lane_into`]) and
-    /// must `clear()` it before the scratch is reused. Shared by
-    /// [`Self::query_batch`] and the all-pairs engine's parallel workers
-    /// (`&self` only touches shared immutable state, so disjoint scratches
-    /// may sweep concurrently).
-    pub(crate) fn sweep_block_core(
-        &self,
-        queries: impl ExactSizeIterator<Item = NodeId>,
-        s: &mut BlockScratch,
-    ) {
-        self.sweep_block_core_traced(queries, s, None)
-    }
-
-    /// [`Self::sweep_block_core`] with optional per-advance tracing.
-    fn sweep_block_core_traced(
-        &self,
-        queries: impl ExactSizeIterator<Item = NodeId>,
-        s: &mut BlockScratch,
-        trace: Option<&mut EngineTrace>,
-    ) {
-        let lam: &dyn RightMultiplier = match &self.lambda_lanes {
-            LaneKernel::Compressed(k) => k,
-            LaneKernel::Plain(cell) => match &self.backing {
-                Backing::Memory { qmat, .. } => {
-                    cell.get_or_init(|| CsrRightMultiplier::new(qmat.clone()))
-                }
-                Backing::Access { .. } => unreachable!("access backing builds its own kernel"),
-            },
-            LaneKernel::Access(k) => k,
-        };
-        let th: &dyn RightMultiplier = match &self.theta_lanes {
-            ThetaKernel::Csr(cell) => match &self.backing {
-                Backing::Memory { qt, .. } => {
-                    cell.get_or_init(|| CsrRightMultiplier::new(qt.clone()))
-                }
-                Backing::Access { .. } => unreachable!("access backing builds its own kernel"),
-            },
-            ThetaKernel::Access(k) => k,
-        };
+    /// The forward (`u ← u·Q`) and Horner (`r ← r·Qᵀ`) advance directions.
+    /// `Q`'s rows are pushed with the `X·Qᵀ` kernel's matrix and densify
+    /// into the `X·Q` kernel, and vice versa; with `compress`, the
+    /// edge-concentrated kernel takes over the Horner dense step.
+    fn directions(&self) -> (Direction<'_>, Direction<'_>) {
         match &self.backing {
-            Backing::Memory { qmat, qt } => {
-                self.sweep_block_with(queries, s, &CsrRows(qmat), &CsrRows(qt), lam, th, trace)
-            }
-            Backing::Access { src, inv_in } => self.sweep_block_with(
-                queries,
-                s,
-                &AccessQRows { src: &**src, inv_in },
-                &AccessQtRows { src: &**src, inv_in },
-                lam,
-                th,
-                trace,
+            Backing::Memory { q, qt } => (
+                Direction { rows: Rows::Csr(q.matrix()), dense: qt },
+                Direction {
+                    rows: Rows::Csr(qt.matrix()),
+                    dense: match &self.compressed {
+                        Some(k) => k,
+                        None => q,
+                    },
+                },
+            ),
+            Backing::Access { q, qt } => (
+                Direction { rows: Rows::Access(q), dense: qt },
+                Direction { rows: Rows::Access(qt), dense: q },
             ),
         }
     }
 
-    /// [`Self::sweep_block_core`] generic over the backing's row views
-    /// (same split as [`Self::sweep_with`]); `lam`/`th` are the blocked
-    /// dense-fallback kernels for the Horner and forward advances. With
-    /// `trace` set, every advance is individually timed and recorded —
-    /// the timing capture happens strictly between advances, so traced
-    /// results stay bitwise identical to untraced ones.
-    #[allow(clippy::too_many_arguments)]
-    fn sweep_block_with(
-        &self,
-        queries: impl ExactSizeIterator<Item = NodeId>,
-        s: &mut BlockScratch,
-        q_rows: &impl PushRows,
-        qt_rows: &impl PushRows,
-        lam: &dyn RightMultiplier,
-        th: &dyn RightMultiplier,
-        mut trace: Option<&mut EngineTrace>,
-    ) {
-        debug_assert!(queries.len() <= BLOCK);
-        let k = self.params.iterations;
-        let eps = self.opts.frontier_epsilon;
-        let det = self.opts.deterministic;
-        let cutoff = (self.opts.batch_density_cutoff * self.n as f64) as usize;
-        let lanes = queries.len() as u64;
-        // Work tallies (see `sweep_with`): locals on the hot path, one
-        // atomic flush per chunk.
-        let (mut iters, mut dense_steps, mut f_active, mut f_slots) = (0u64, 0u64, 0u64, 0u64);
-        let mut tally = |dense: bool, active: usize, n: usize| {
-            iters += 1;
-            dense_steps += dense as u64;
-            f_active += if dense { n as u64 } else { active as u64 };
-            f_slots += n as u64;
-        };
-        for (lane, q) in queries.enumerate() {
-            s.u.insert(q)[lane] = 1.0;
-        }
-        for theta in 0..=k {
-            if eps > 0.0 && self.theta_tail[theta] < eps {
-                break;
-            }
-            for (lambda, vl) in s.vs[..=(k - theta)].iter_mut().enumerate() {
-                vl.axpy_from(&s.u, self.coeffs[theta][lambda]);
-            }
-            if theta == k {
-                break;
-            }
-            // u ← u·Q lane-wise: push over Q rows, or blocked Qᵀ·u.
-            let started = trace.is_some().then(Instant::now);
-            advance_block(q_rows, &mut s.u, &mut s.u_next, eps, cutoff, det, th);
-            tally(s.u.dense, s.u.active.len(), self.n);
-            if let (Some(t), Some(at)) = (trace.as_deref_mut(), started) {
-                t.steps.push(EngineStep {
-                    pass: 0,
-                    index: theta,
-                    frontier: if s.u.dense { self.n } else { s.u.active.len() },
-                    dense: s.u.dense,
-                    dur_ns: at.elapsed().as_nanos() as u64,
-                });
-            }
-            if s.u.is_zero() {
-                break;
-            }
-        }
-        s.u.clear();
-        for lambda in (0..=k).rev() {
-            if !s.w.is_zero() {
-                // r ← r·Qᵀ lane-wise: push over Qᵀ rows, or blocked Q·r.
-                let started = trace.is_some().then(Instant::now);
-                advance_block(qt_rows, &mut s.w, &mut s.w_next, eps, cutoff, det, lam);
-                tally(s.w.dense, s.w.active.len(), self.n);
-                if let (Some(t), Some(at)) = (trace.as_deref_mut(), started) {
-                    t.steps.push(EngineStep {
-                        pass: 1,
-                        index: lambda,
-                        frontier: if s.w.dense { self.n } else { s.w.active.len() },
-                        dense: s.w.dense,
-                        dur_ns: at.elapsed().as_nanos() as u64,
-                    });
-                }
-            }
-            s.w.axpy_from(&s.vs[lambda], 1.0);
-            s.vs[lambda].clear();
-        }
-        self.stats.flush(lanes, iters, dense_steps, f_active, f_slots);
-        self.stats.flush_lanes(lanes, BLOCK as u64);
-    }
-
-    /// The edge-concentrated lane kernel, when the engine was built with
+    /// The edge-concentrated kernel, when the engine was built with
     /// `compress` (shared with the all-pairs engine so compression runs
     /// once per graph).
     pub(crate) fn compressed_kernel(&self) -> Option<&CompressedRightMultiplier> {
-        match &self.lambda_lanes {
-            LaneKernel::Compressed(k) => Some(k),
-            LaneKernel::Plain(_) | LaneKernel::Access(_) => None,
-        }
-    }
-
-    fn take_scratch(&self) -> QueryScratch {
-        self.scratch
-            .lock()
-            .expect("scratch pool poisoned")
-            .pop()
-            .unwrap_or_else(|| QueryScratch::new(self.n, self.params.iterations))
-    }
-
-    fn put_scratch(&self, s: QueryScratch) {
-        self.scratch.lock().expect("scratch pool poisoned").push(s);
-    }
-
-    pub(crate) fn take_block_scratch(&self) -> BlockScratch {
-        self.block_scratch
-            .lock()
-            .expect("scratch pool poisoned")
-            .pop()
-            .unwrap_or_else(|| BlockScratch::new(self.n, self.params.iterations))
-    }
-
-    pub(crate) fn put_block_scratch(&self, s: BlockScratch) {
-        self.block_scratch.lock().expect("scratch pool poisoned").push(s);
+        self.compressed.as_ref()
     }
 }
 
-/// Copies lane `lane` of a folded block frontier into a full row (`out`
-/// must be zeroed; only the support is written on the sparse path).
-pub(crate) fn copy_lane_into(w: &BlockFrontier, lane: usize, out: &mut [f64]) {
+/// Copies lane `lane` of a folded frontier into a full row (`out` must be
+/// zeroed; only the support is written on the sparse path).
+pub(crate) fn copy_lane_into<const L: usize>(w: &Frontier<L>, lane: usize, out: &mut [f64]) {
     if w.dense {
-        for (rv, node_vals) in out.iter_mut().zip(w.vals.chunks_exact(BLOCK)) {
+        for (rv, node_vals) in out.iter_mut().zip(w.vals.chunks_exact(L)) {
             *rv = node_vals[lane];
         }
     } else {
         for &i in &w.active {
-            out[i as usize] = w.vals[i as usize * BLOCK + lane];
+            out[i as usize] = w.vals[i as usize * L + lane];
         }
     }
 }
@@ -1196,33 +931,11 @@ fn length_weights(params: &SimStarParams, kind: SeriesKind) -> Vec<f64> {
     }
 }
 
-/// Shared constructor validation (both backings): parameter checks plus
-/// deterministic mode forcing `frontier_epsilon = 0` (see the option docs).
-fn validate_options(params: SimStarParams, mut opts: QueryEngineOptions) -> QueryEngineOptions {
-    params.validate();
-    if opts.deterministic {
-        // Pruning is the one knob that couples lanes (see the option
-        // docs); everything else deterministic mode needs is handled in
-        // the advance functions.
-        opts.frontier_epsilon = 0.0;
-    }
-    assert!(opts.frontier_epsilon >= 0.0, "epsilon must be non-negative");
-    assert!(
-        (0.0..=1.0).contains(&opts.density_cutoff),
-        "density cutoff must be a fraction in [0, 1]"
-    );
-    assert!(
-        (0.0..=1.0).contains(&opts.batch_density_cutoff),
-        "batch density cutoff must be a fraction in [0, 1]"
-    );
-    opts
-}
-
 /// The lattice coefficient table and its θ-suffix mass (see the
 /// [`QueryEngine`] field docs).
-fn coeff_table(params: &SimStarParams, opts: &QueryEngineOptions) -> (Vec<Vec<f64>>, Vec<f64>) {
+fn coeff_table(params: &SimStarParams, kind: SeriesKind) -> (Vec<Vec<f64>>, Vec<f64>) {
     let k = params.iterations;
-    let weights = length_weights(params, opts.kind);
+    let weights = length_weights(params, kind);
     let coeffs = lattice_coeffs(&weights);
     let mut theta_tail = vec![0.0; k + 2];
     for theta in (0..=k).rev() {
@@ -1231,69 +944,23 @@ fn coeff_table(params: &SimStarParams, opts: &QueryEngineOptions) -> (Vec<Vec<f6
     (coeffs, theta_tail)
 }
 
-/// Dense `y = xᵀ·Q` over an access backing (the u-advance fallback):
-/// scatter each active source's in-list, weighted by the row's `1/|I|`.
-fn dense_u_step(src: &dyn NeighborAccess, inv_in: &[f64], x: &[f64], y: &mut [f64]) {
-    y.fill(0.0);
-    for (i, &xv) in x.iter().enumerate() {
-        if xv == 0.0 {
-            continue;
-        }
-        let w = inv_in[i];
-        if w != 0.0 {
-            src.for_each_in(i as u32, &mut |j| y[j as usize] += xv * w);
-        }
-    }
-}
-
-/// Dense `y = Q·x` over an access backing (the Horner-advance fallback):
-/// gather each row's in-list, scaled by the row's `1/|I|`.
-fn dense_r_step(src: &dyn NeighborAccess, inv_in: &[f64], x: &[f64], y: &mut [f64]) {
-    for (i, o) in y.iter_mut().enumerate() {
-        let w = inv_in[i];
-        if w == 0.0 {
-            *o = 0.0;
-            continue;
-        }
-        let mut acc = 0.0;
-        src.for_each_in(i as u32, &mut |c| acc += w * x[c as usize]);
-        *o = acc;
-    }
-}
-
-/// `out += coeff · f`, touching only the support when `f` is sparse.
-fn accumulate(out: &mut [f64], f: &Frontier, coeff: f64) {
-    if coeff == 0.0 {
-        return;
-    }
-    if f.dense {
-        for (o, &v) in out.iter_mut().zip(&f.vals) {
-            *o += coeff * v;
-        }
-    } else {
-        for &i in &f.active {
-            out[i as usize] += coeff * f.vals[i as usize];
-        }
-    }
-}
-
-/// Lane-wise analogue of [`advance`]: sparse push over `rows`
-/// (each adjacency index read once per `BLOCK` lanes) while the union
-/// support is small, switching to the blocked dense `dense_kernel` once it
-/// saturates past `cutoff` active nodes. `next` must be cleared on entry
-/// and is left cleared on exit. With `det` set, the frontier stays sparse
-/// forever, pruning is skipped, and the active list is sorted before the
-/// push so the accumulation order into every slot is canonical (ascending
-/// source id) — lane results become independent of what the other lanes
-/// hold (see [`QueryEngineOptions::deterministic`]).
-fn advance_block(
-    rows: &impl PushRows,
-    cur: &mut BlockFrontier,
-    next: &mut BlockFrontier,
+/// Advances `cur` one step along `dir`: sparse push over the direction's
+/// rows (each adjacency index read once per `L` lanes) while the union
+/// support is small, switching to the blocked dense kernel once it
+/// saturates past `cutoff` active nodes (and staying dense from then on).
+/// `next` must be cleared on entry and is left cleared on exit. With `det`
+/// set, the frontier stays sparse forever, pruning is skipped, and the
+/// active list is sorted before the push so the accumulation order into
+/// every slot is canonical (ascending source id) — a lane's result is then
+/// independent of the lane width and of what the other lanes hold (see
+/// [`QueryEngineOptions::deterministic`]).
+fn advance<const L: usize>(
+    dir: &Direction,
+    cur: &mut Frontier<L>,
+    next: &mut Frontier<L>,
     eps: f64,
     cutoff: usize,
     det: bool,
-    dense_kernel: &dyn RightMultiplier,
 ) {
     if det {
         debug_assert!(!cur.dense, "deterministic sweeps never densify");
@@ -1301,28 +968,26 @@ fn advance_block(
     }
     if cur.dense {
         // `next` is cleared ⇒ all-zero, which `apply_block` accumulates into.
-        dense_kernel.apply_block(&cur.vals, &mut next.vals, BLOCK);
+        dir.dense.apply_block(&cur.vals, &mut next.vals, L);
         next.dense = true;
     } else {
         debug_assert!(!next.dense && next.active.is_empty());
         for &i in &cur.active {
-            let src: [f64; BLOCK] =
-                cur.vals[i as usize * BLOCK..][..BLOCK].try_into().expect("BLOCK lanes");
-            rows.push_row(i, |j, v| {
-                let dst = next.insert(j);
-                for (d, sv) in dst.iter_mut().zip(src) {
+            let src = cur.lanes(i);
+            dir.rows.push_row(i, |j, v| {
+                for (d, sv) in next.insert(j).iter_mut().zip(src) {
                     *d += v * sv;
                 }
             });
         }
         if eps > 0.0 {
-            let BlockFrontier { vals, active, member, .. } = next;
+            let Frontier { vals, active, member, .. } = next;
             active.retain(|&j| {
-                let r = j as usize * BLOCK..(j as usize + 1) * BLOCK;
-                if vals[r.clone()].iter().any(|&v| v >= eps) {
+                let lanes = &mut vals[j as usize * L..(j as usize + 1) * L];
+                if lanes.iter().any(|&v| v >= eps) {
                     true
                 } else {
-                    vals[r].fill(0.0);
+                    lanes.fill(0.0);
                     member[j as usize] = false;
                     false
                 }
@@ -1330,64 +995,6 @@ fn advance_block(
         }
         if !det && next.active.len() > cutoff {
             next.densify();
-        }
-    }
-    std::mem::swap(cur, next);
-    next.clear();
-}
-
-/// Advances `cur` one step: sparse push over `rows` while the
-/// frontier is small, switching to `dense_step` once it saturates past
-/// `cutoff` active nodes (and staying dense from then on). `next` must be
-/// cleared on entry and is left cleared on exit. With `det` set, the
-/// frontier stays sparse and the active list is sorted before the push —
-/// the scalar counterpart of [`advance_block`]'s deterministic mode, so a
-/// solo [`QueryEngine::query`] reproduces a batch lane bit for bit.
-fn advance(
-    rows: &impl PushRows,
-    cur: &mut Frontier,
-    next: &mut Frontier,
-    eps: f64,
-    cutoff: usize,
-    det: bool,
-    dense_step: impl Fn(&[f64], &mut [f64]),
-) {
-    if det {
-        debug_assert!(!cur.dense, "deterministic sweeps never densify");
-        cur.active.sort_unstable();
-    }
-    if cur.dense {
-        dense_step(&cur.vals, &mut next.vals);
-        next.dense = true;
-    } else {
-        debug_assert!(!next.dense && next.active.is_empty());
-        for &i in &cur.active {
-            let xv = cur.vals[i as usize];
-            rows.push_row(i, |j, v| {
-                let add = xv * v;
-                let slot = &mut next.vals[j as usize];
-                // Everything propagated is non-negative, so "still zero"
-                // exactly means "not yet in the active list".
-                if *slot == 0.0 && add != 0.0 {
-                    next.active.push(j);
-                }
-                *slot += add;
-            });
-        }
-        if eps > 0.0 {
-            let vals = &mut next.vals;
-            next.active.retain(|&j| {
-                if vals[j as usize] >= eps {
-                    true
-                } else {
-                    vals[j as usize] = 0.0;
-                    false
-                }
-            });
-        }
-        if !det && next.active.len() > cutoff {
-            next.dense = true;
-            next.active.clear();
         }
     }
     std::mem::swap(cur, next);
@@ -1451,7 +1058,7 @@ mod tests {
         assert_eq!(after_one.sweeps, 1);
         assert!(after_one.iterations > 0, "a sweep advances the frontier");
         assert!(after_one.frontier_active <= after_one.frontier_slots);
-        assert_eq!(after_one.lane_slots, 0, "scalar path uses no lanes");
+        assert_eq!(after_one.lane_slots, 0, "the one-lane path counts no lane slots");
         // A 3-query batch is one block chunk: three logical sweeps, three
         // of BLOCK lanes occupied.
         engine.top_k_batch(&[0, 1, 2], 2);
@@ -1497,21 +1104,39 @@ mod tests {
         }
     }
 
+    /// Dense-fallback steps an engine took while answering every node
+    /// solo (`L = 1`) and then as one batch (`L = BLOCK`), with the rows.
+    fn dense_steps_per_width(e: &QueryEngine) -> ([u64; 2], Vec<Vec<f64>>, Dense) {
+        let all: Vec<NodeId> = (0..e.node_count() as NodeId).collect();
+        let start = e.stats().dense_steps;
+        let solo: Vec<Vec<f64>> = all.iter().map(|&q| e.query(q)).collect();
+        let mid = e.stats().dense_steps;
+        let batch = e.query_batch(&all);
+        ([mid - start, e.stats().dense_steps - mid], solo, batch)
+    }
+
     #[test]
     fn forced_dense_fallback_is_exact() {
-        // cutoff 0 densifies after the first sparse step; eps 0 disables
-        // pruning — both paths must still match the reference exactly.
+        // The fixed graphs are small enough that default frontiers pass
+        // the densify cutoffs (n/8 solo, n/4 batched) within a step, while
+        // deterministic engines never densify: both must match the
+        // reference, at both lane widths.
         for g in graphs() {
             let p = SimStarParams { c: 0.8, iterations: 5 };
-            let opts = QueryEngineOptions {
-                frontier_epsilon: 0.0,
-                density_cutoff: 0.0,
-                ..Default::default()
-            };
-            let engine = QueryEngine::with_options(&g, p, opts);
-            for q in 0..g.node_count() as NodeId {
-                let dense = single_source_dense(&g, q, &p);
-                assert_rows_close(&engine.query(q), &dense, 1e-12, "forced dense");
+            let det = QueryEngineOptions { deterministic: true, ..Default::default() };
+            for opts in [QueryEngineOptions::default(), det] {
+                let engine = QueryEngine::with_options(&g, p, opts.clone());
+                let (dense_steps, solo, batch) = dense_steps_per_width(&engine);
+                if opts.deterministic {
+                    assert_eq!(dense_steps, [0, 0], "deterministic sweeps never densify");
+                } else {
+                    assert!(dense_steps.iter().all(|&d| d > 0), "dense path ran: {dense_steps:?}");
+                }
+                for (q, row) in solo.iter().enumerate() {
+                    let dense = single_source_dense(&g, q as NodeId, &p);
+                    assert_rows_close(row, &dense, 1e-12, "solo");
+                    assert_rows_close(batch.row(q), &dense, 1e-12, "batch");
+                }
             }
         }
     }
@@ -1669,15 +1294,26 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_mode_forces_zero_epsilon() {
-        let g = &graphs()[0];
-        let opts = QueryEngineOptions {
-            deterministic: true,
-            frontier_epsilon: 1e-6,
-            ..Default::default()
-        };
-        let engine = QueryEngine::with_options(g, SimStarParams::default(), opts);
-        assert_eq!(engine.options().frontier_epsilon, 0.0);
+    fn deterministic_mode_never_densifies_or_prunes() {
+        // Same rows with and without the default engine's pruning and
+        // dense fallback; the deterministic engine keeps every entry of the
+        // reference's support (ε = 0) without ever densifying.
+        let g = &graphs()[2];
+        let p = SimStarParams { c: 0.6, iterations: 12 };
+        let det = QueryEngineOptions { deterministic: true, ..Default::default() };
+        let (fast_steps, fast, _) = dense_steps_per_width(&QueryEngine::new(g, p));
+        let (det_steps, det, det_batch) =
+            dense_steps_per_width(&QueryEngine::with_options(g, p, det));
+        assert!(fast_steps[0] > 0 && det_steps == [0, 0], "{fast_steps:?} vs {det_steps:?}");
+        for (q, row) in det.iter().enumerate() {
+            let dense = single_source_dense(g, q as NodeId, &p);
+            assert_rows_close(row, &fast[q], 1e-12, "det vs default");
+            assert_rows_close(row, &dense, 1e-12, "det vs dense");
+            assert_eq!(row.as_slice(), det_batch.row(q), "q={q} solo vs batch bits");
+            for (v, &d) in dense.iter().enumerate() {
+                assert_eq!(d > 0.0, row[v] > 0.0, "q={q}, v={v}: support");
+            }
+        }
     }
 
     #[test]
@@ -1724,27 +1360,36 @@ mod tests {
 
     #[test]
     fn access_backing_matches_on_sparse_and_dense_paths() {
+        // Default access engines take the dense fallback (the access
+        // kernels) at both widths; deterministic ones stay sparse. Both
+        // match the in-memory engine and the dense reference.
         for g in graphs() {
             let p = SimStarParams { c: 0.6, iterations: 6 };
-            for opts in [
-                QueryEngineOptions::default(),
-                // Cutoff 0 forces the dense fallback from the first step.
-                QueryEngineOptions {
-                    density_cutoff: 0.0,
-                    batch_density_cutoff: 0.0,
-                    ..Default::default()
-                },
-                QueryEngineOptions { kind: SeriesKind::Exponential, ..Default::default() },
-            ] {
-                let mem = QueryEngine::with_options(&g, p, opts.clone());
-                let acc = QueryEngine::with_access(access_of(&g), p, opts);
-                let all: Vec<NodeId> = (0..g.node_count() as NodeId).collect();
-                for q in &all {
-                    assert_rows_close(&mem.query(*q), &acc.query(*q), 1e-10, "access row");
-                }
-                let (bm, ba) = (mem.query_batch(&all), acc.query_batch(&all));
-                for i in 0..bm.rows() {
-                    assert_rows_close(bm.row(i), ba.row(i), 1e-10, "access batch");
+            for kind in [SeriesKind::Geometric, SeriesKind::Exponential] {
+                for deterministic in [false, true] {
+                    let opts = QueryEngineOptions { kind, deterministic, ..Default::default() };
+                    let mem = QueryEngine::with_options(&g, p, opts.clone());
+                    let acc = QueryEngine::with_access(access_of(&g), p, opts);
+                    let (dense_steps, solo, batch) = dense_steps_per_width(&acc);
+                    if deterministic {
+                        assert_eq!(dense_steps, [0, 0]);
+                    } else {
+                        assert!(dense_steps.iter().all(|&d| d > 0), "{dense_steps:?}");
+                    }
+                    let mem_batch =
+                        mem.query_batch(&(0..g.node_count() as NodeId).collect::<Vec<_>>());
+                    for (q, row) in solo.iter().enumerate() {
+                        let dense = match kind {
+                            SeriesKind::Geometric => single_source_dense(&g, q as NodeId, &p),
+                            SeriesKind::Exponential => {
+                                single_source_exponential_dense(&g, q as NodeId, &p)
+                            }
+                        };
+                        assert_rows_close(row, &mem.query(q as NodeId), 1e-10, "access row");
+                        assert_rows_close(row, &dense, 1e-10, "access vs dense");
+                        assert_rows_close(batch.row(q), mem_batch.row(q), 1e-10, "access batch");
+                        assert_rows_close(batch.row(q), &dense, 1e-10, "access batch vs dense");
+                    }
                 }
             }
         }

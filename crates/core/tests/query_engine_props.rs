@@ -1,12 +1,16 @@
-//! Property tests pinning the query engine's three execution paths
-//! (sparse-frontier, dense fallback, batched lanes) to the dense reference
-//! sweep and — via Lemma 4 — to the corresponding row of the all-pairs
-//! geometric iteration, plus top-k against the full-row sort.
+//! Property tests pinning the query engine's execution paths
+//! (sparse-frontier, dense fallback, one lane and batched lanes, memory and
+//! access backings) to the dense reference sweep, — via Lemma 4 — to the
+//! corresponding row of the all-pairs geometric iteration, and to the
+//! Sylvester fixed point, plus top-k against the full-row sort.
 
 use proptest::prelude::*;
+use simrank_star::convergence::geometric_bound;
+use simrank_star::exact::solve_exact;
 use simrank_star::single_source::{single_source_dense, single_source_exponential_dense};
 use simrank_star::{geometric, QueryEngine, QueryEngineOptions, SeriesKind, SimStarParams};
-use ssr_graph::{DiGraph, NodeId};
+use ssr_graph::{DiGraph, NeighborAccess, NodeId};
+use std::sync::Arc;
 
 fn arb_graph_and_query(
     max_n: usize,
@@ -79,21 +83,30 @@ proptest! {
         }
     }
 
-    /// Forcing the dense fallback (cutoff 0) changes nothing.
+    /// The default engine's dense fallback (small graphs pass the n/8 solo
+    /// and n/4 batched cutoffs within a step) matches the never-dense
+    /// deterministic engine and the dense reference, at both lane widths.
     #[test]
     fn dense_fallback_matches_sparse((n, edges, q) in arb_graph_and_query(14, 50)) {
         let g = build(n, &edges);
         let p = SimStarParams { c: 0.8, iterations: 5 };
-        let sparse = QueryEngine::new(&g, p).query(q);
-        let forced = QueryEngine::with_options(
+        let all: Vec<NodeId> = (0..n as NodeId).collect();
+        let fast = QueryEngine::new(&g, p);
+        let det = QueryEngine::with_options(
             &g,
             p,
-            QueryEngineOptions { density_cutoff: 0.0, ..Default::default() },
-        )
-        .query(q);
-        for v in 0..n {
-            prop_assert!((sparse[v] - forced[v]).abs() < 1e-10, "v={v}");
+            QueryEngineOptions { deterministic: true, ..Default::default() },
+        );
+        let dense = single_source_dense(&g, q, &p);
+        for engine in [&fast, &det] {
+            let batch = engine.query_batch(&all);
+            for row in [engine.query(q).as_slice(), batch.row(q as usize)] {
+                for v in 0..n {
+                    prop_assert!((row[v] - dense[v]).abs() < 1e-10, "v={v}");
+                }
+            }
         }
+        prop_assert_eq!(det.stats().dense_steps, 0);
     }
 
     /// Top-k by partial selection == full-row sort on ties-free scores.
@@ -162,6 +175,41 @@ proptest! {
                     full_row[v as usize].to_bits(),
                     "({}, {}) differs between subset and global engines", q, v
                 );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Third oracle: at a depth `K` whose geometric tail bound `C^{K+1}`
+    /// (Lemma 3) is below 1e-8, one-lane and batched rows on both backings
+    /// lie within that bound (plus float slack) of the exact Sylvester
+    /// fixed point.
+    #[test]
+    fn rows_converge_to_sylvester_fixed_point((n, edges, _q) in arb_graph_and_query(14, 50)) {
+        let g = build(n, &edges);
+        let c = 0.6;
+        let k = (0..).find(|&k| geometric_bound(c, k) < 1e-8).expect("bound decays");
+        let p = SimStarParams { c, iterations: k };
+        let tol = geometric_bound(c, k) + 1e-12;
+        let exact = solve_exact(&g, &p);
+        let all: Vec<NodeId> = (0..n as NodeId).collect();
+        let access: Arc<dyn NeighborAccess> = Arc::new(g.clone());
+        for engine in [
+            QueryEngine::new(&g, p),
+            QueryEngine::with_access(access, p, QueryEngineOptions::default()),
+        ] {
+            let batch = engine.query_batch(&all);
+            for &q in &all {
+                for row in [engine.query(q).as_slice(), batch.row(q as usize)] {
+                    for (v, &got) in row.iter().enumerate() {
+                        let want = exact.score(q, v as NodeId);
+                        prop_assert!((got - want).abs() <= tol,
+                            "access={}, q={q}, v={v}: {got} vs {want}", engine.is_access_backed());
+                    }
+                }
             }
         }
     }

@@ -212,8 +212,11 @@ impl Csr {
     }
 
     /// `self · x` written into a caller-owned buffer (every entry of `out`
-    /// is overwritten; no allocation). Backs the query engine's reusable
-    /// scratch vectors.
+    /// is overwritten; no allocation).
+    // Out of line, like `vec_mul_into`: inlined into the dense lattice
+    // sweep (`single_source`), LLVM's code for both ran the sweep ~30%
+    // slower (`exp_query_engine --smoke`, naive mode, 2-core x86-64).
+    #[inline(never)]
     pub fn mul_vec_into(&self, x: &[f64], out: &mut [f64]) {
         assert_eq!(self.cols, x.len(), "dimension mismatch");
         assert_eq!(self.rows, out.len(), "output dimension mismatch");
@@ -231,6 +234,7 @@ impl Csr {
 
     /// `xᵀ · self` written into a caller-owned buffer (every entry of `out`
     /// is overwritten; no allocation).
+    #[inline(never)]
     pub fn vec_mul_into(&self, x: &[f64], out: &mut [f64]) {
         assert_eq!(self.rows, x.len(), "dimension mismatch");
         assert_eq!(self.cols, out.len(), "output dimension mismatch");

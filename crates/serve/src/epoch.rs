@@ -301,8 +301,13 @@ mod tests {
     #[test]
     fn snapshots_use_deterministic_engines() {
         let s = store();
-        assert!(s.current().engine().options().deterministic);
-        assert_eq!(s.current().engine().options().frontier_epsilon, 0.0);
+        let snap = s.current();
+        let engine = snap.engine();
+        assert!(engine.options().deterministic);
+        // Deterministic engines never prune or densify, so a solo query and
+        // a batch lane agree bit for bit.
+        assert_eq!(engine.query(1).as_slice(), engine.query_batch(&[1]).row(0));
+        assert_eq!(engine.stats().dense_steps, 0);
     }
 
     #[test]

@@ -42,7 +42,7 @@ proptest! {
         let params = SimStarParams { c: 0.7, iterations: 6 };
         let k = 5;
 
-        // Reference: a fresh deterministic engine, scalar path.
+        // Reference: a fresh deterministic engine, one-lane path.
         let reference = QueryEngine::with_options(
             &g,
             params,
