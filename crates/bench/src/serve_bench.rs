@@ -31,11 +31,19 @@
 //!   server-reported connection gauge: the event loop carries the idle
 //!   mass on its fixed thread budget.
 //!
-//! The **shard** group (`serial_shardsN` / `batched_shardsN`): the
-//! batching pair again, against servers whose snapshots are partitioned
-//! across N engine shards (2 in smoke; 2 and 4 in the full run). Answers
-//! are bit-identical to the unsharded path (the e2e suite enforces it);
-//! these modes measure what the scatter-gather costs or buys.
+//! The **workers** group (`serial_workersN` / `batched_workersN`): the
+//! batching pair again, against servers running N flush workers over one
+//! shared engine (2 in smoke; 2 and 4 in the full run). Answers are
+//! bit-identical to one worker (the e2e suite enforces it); these modes
+//! measure what concurrent flushes buy.
+//!
+//! Two graphs: the citation stand-in (one weakly-connected component, so
+//! a query's frontier spans most of the graph) and a sparse Erdős–Rényi
+//! graph with thousands of small components, where a query's frontier is
+//! tiny and top-k selection straight off the sparse frontier is what
+//! keeps a flush from paying `O(n)` per query. The ER graph runs the
+//! batching and workers groups; the wire-bound protocol group runs on the
+//! citation graph only.
 //!
 //! Queries come from the in-degree-stratified sample the paper's §5
 //! protocol uses. The JSON schema (`ssr-bench/serve/v1`) is rendered by
@@ -46,10 +54,11 @@
 use simrank_star::SimStarParams;
 use ssr_datasets::{load, DatasetId};
 use ssr_eval::queries::select_queries;
+use ssr_graph::{DiGraph, NodeId};
 use ssr_serve::batcher::BatcherOptions;
 use ssr_serve::loadgen::{
-    run_connections_phase, run_protocol_phases, run_sharded_phases, run_standard_phases, LoadPlan,
-    ServeBenchMeta,
+    run_connections_phase, run_protocol_phases, run_standard_phases, run_workers_phases, LoadPlan,
+    PhaseResult, ServeBenchMeta, ServeDataset,
 };
 use ssr_serve::server::{Server, ServerOptions};
 
@@ -70,6 +79,60 @@ const WINDOW_US: u64 = 800;
 /// Requests each `ssb_pipelined` client keeps in flight.
 const PIPELINE: usize = 8;
 const SEED: u64 = 0x0BE7_C0DE;
+/// The many-component graph: `simstar generate --kind er --nodes 16000
+/// --edges 14000 --seed 7` (3,419 WCCs, the largest 11,417 nodes), and a
+/// same-density eighth of it in smoke.
+const ER_FULL: (usize, usize) = (16_000, 14_000);
+const ER_SMOKE: (usize, usize) = (2_000, 1_750);
+const ER_SEED: u64 = 7;
+
+fn start_server(g: &DiGraph, params: SimStarParams, workers: usize, conns: usize) -> Server {
+    Server::start(
+        g.clone(),
+        "127.0.0.1",
+        0,
+        ServerOptions {
+            params,
+            cache_capacity: 4096,
+            cache_shards: 8,
+            batch: BatcherOptions {
+                window_us: WINDOW_US,
+                max_batch: 64,
+                queue_capacity: 1024,
+                workers,
+            },
+            max_connections: conns,
+            ..Default::default()
+        },
+    )
+    .expect("bind ephemeral loopback port")
+}
+
+/// `n` in-degree-stratified query nodes (the paper's §5 protocol).
+fn query_pool(g: &DiGraph, n: usize) -> Vec<NodeId> {
+    let mut q = select_queries(g, 5, n.div_ceil(5), SEED);
+    q.truncate(n);
+    q
+}
+
+/// The workers-axis pairs, each against a fresh server with that many
+/// flush workers.
+fn workers_phases(
+    g: &DiGraph,
+    params: SimStarParams,
+    plan: &LoadPlan,
+    smoke: bool,
+) -> Vec<PhaseResult> {
+    let mut phases = Vec::new();
+    for &workers in if smoke { &[2usize][..] } else { &[2, 4] } {
+        let server = start_server(g, params, workers, CLIENTS + 32);
+        phases.extend(
+            run_workers_phases(server.addr(), plan, WINDOW_US, workers).expect("workers run"),
+        );
+        server.shutdown();
+    }
+    phases
+}
 
 /// Runs the benchmark, prints a summary table, and writes the JSON report.
 pub fn run_serve_bench(opts: &ServeBenchOptions) {
@@ -86,34 +149,12 @@ pub fn run_serve_bench(opts: &ServeBenchOptions) {
     let g = &d.graph;
     let params = SimStarParams { c: C, iterations: K };
     let n_pool = (CLIENTS * requests_per_client).max(p_clients * p_requests).min(g.node_count());
-    let pool = {
-        let mut q = select_queries(g, 5, n_pool.div_ceil(5), SEED);
-        q.truncate(n_pool);
-        q
-    };
+    let pool = query_pool(g, n_pool);
     let hot: Vec<u32> = pool.iter().copied().take(64).collect();
     // Standard phases warm `hot` through the cached phase; the protocol
     // phases then reuse it with the cache on, so they time the wire.
 
-    let server = Server::start(
-        g.clone(),
-        "127.0.0.1",
-        0,
-        ServerOptions {
-            params,
-            cache_capacity: 4096,
-            cache_shards: 8,
-            batch: BatcherOptions {
-                window_us: WINDOW_US,
-                max_batch: 64,
-                queue_capacity: 1024,
-                workers: 1,
-            },
-            max_connections: idle_conns + p_clients + 32,
-            ..Default::default()
-        },
-    )
-    .expect("bind ephemeral loopback port");
+    let server = start_server(g, params, 1, idle_conns + p_clients + 32);
     let addr = server.addr();
 
     println!(
@@ -133,80 +174,80 @@ pub fn run_serve_bench(opts: &ServeBenchOptions) {
     let conns_plan =
         LoadPlan::new(p_clients, p_requests.div_ceil(2).max(5), TOP_K, p_plan.nodes.clone());
     phases.push(
-        run_connections_phase(addr, &conns_plan, hot.clone(), WINDOW_US, PIPELINE, idle_conns)
+        run_connections_phase(addr, &conns_plan, hot, WINDOW_US, PIPELINE, idle_conns)
             .expect("connection-scaling run"),
     );
-    // Shard axis: the serial/batched pair against servers partitioned
-    // across engine shards (`_shardsN` modes; answers stay bit-identical
-    // to the unsharded path — the e2e suite enforces that, this measures
-    // what it costs/buys).
-    for shards in if opts.smoke { &[2usize][..] } else { &[2, 4] } {
-        let sharded = Server::start(
-            g.clone(),
-            "127.0.0.1",
-            0,
-            ServerOptions {
-                params,
-                cache_capacity: 4096,
-                cache_shards: 8,
-                shards: *shards,
-                batch: BatcherOptions {
-                    window_us: WINDOW_US,
-                    max_batch: 64,
-                    queue_capacity: 1024,
-                    workers: 1,
-                },
-                max_connections: CLIENTS + 32,
-                ..Default::default()
-            },
-        )
-        .expect("bind sharded loopback port");
-        phases.extend(
-            run_sharded_phases(sharded.addr(), &plan, WINDOW_US, *shards).expect("sharded run"),
-        );
-        sharded.shutdown();
-    }
-    println!(
-        "{:<14} {:>7} {:>4} {:>9} {:>10} {:>10} {:>9} {:>6} {:>6}",
-        "mode", "proto", "pipe", "qps", "p50_us", "p99_us", "hit_rate", "shed", "conns"
-    );
-    for p in &phases {
+    let worker_threads = server.worker_threads();
+    server.shutdown();
+    phases.extend(workers_phases(g, params, &plan, opts.smoke));
+    let mut datasets = vec![ServeDataset {
+        name: id.name().to_string(),
+        nodes: g.node_count(),
+        edges: g.edge_count(),
+        phases,
+    }];
+
+    // The many-component graph: batching and workers groups only.
+    let (er_n, er_m) = if opts.smoke { ER_SMOKE } else { ER_FULL };
+    let er = ssr_gen::random::erdos_renyi_gnm(er_n, er_m, ER_SEED);
+    let er_pool = query_pool(&er, (CLIENTS * requests_per_client).min(er.node_count()));
+    let er_hot: Vec<u32> = er_pool.iter().copied().take(64).collect();
+    let er_plan = LoadPlan::new(CLIENTS, requests_per_client, TOP_K, er_pool);
+    let er_server = start_server(&er, params, 1, CLIENTS + 32);
+    let mut er_phases =
+        run_standard_phases(er_server.addr(), &er_plan, er_hot, WINDOW_US).expect("ER load run");
+    er_server.shutdown();
+    er_phases.extend(workers_phases(&er, params, &er_plan, opts.smoke));
+    datasets.push(ServeDataset {
+        name: format!("ER-n{er_n}-m{er_m}"),
+        nodes: er.node_count(),
+        edges: er.edge_count(),
+        phases: er_phases,
+    });
+
+    for d in &datasets {
+        println!("{} (n={}, m={})", d.name, d.nodes, d.edges);
         println!(
-            "{:<14} {:>7} {:>4} {:>9.1} {:>10.1} {:>10.1} {:>8.1}% {:>6} {:>6}",
-            p.name,
-            p.protocol,
-            p.pipeline,
-            p.report.qps(),
-            p.report.percentile_us(0.50),
-            p.report.percentile_us(0.99),
-            100.0 * p.hit_rate(),
-            p.shed,
-            p.connections,
+            "{:<18} {:>7} {:>4} {:>9} {:>10} {:>10} {:>9} {:>6} {:>6}",
+            "mode", "proto", "pipe", "qps", "p50_us", "p99_us", "hit_rate", "shed", "conns"
         );
+        for p in &d.phases {
+            println!(
+                "{:<18} {:>7} {:>4} {:>9.1} {:>10.1} {:>10.1} {:>8.1}% {:>6} {:>6}",
+                p.name,
+                p.protocol,
+                p.pipeline,
+                p.report.qps(),
+                p.report.percentile_us(0.50),
+                p.report.percentile_us(0.99),
+                100.0 * p.hit_rate(),
+                p.shed,
+                p.connections,
+            );
+        }
+        let qps =
+            |name: &str| d.phases.iter().find(|p| p.name == name).map_or(0.0, |p| p.report.qps());
+        println!("speedup batched vs serial: {:.2}x", qps("batched") / qps("serial").max(1e-12));
+        if qps("json_serial") > 0.0 {
+            println!(
+                "speedup ssb pipelined vs json serial: {:.2}x",
+                qps("ssb_pipelined") / qps("json_serial")
+            );
+        }
     }
-    let qps = |name: &str| phases.iter().find(|p| p.name == name).map_or(0.0, |p| p.report.qps());
-    println!("speedup batched vs serial: {:.2}x", qps("batched") / qps("serial").max(1e-12));
-    println!(
-        "speedup ssb pipelined vs json serial: {:.2}x",
-        qps("ssb_pipelined") / qps("json_serial").max(1e-12)
-    );
 
     let meta = ServeBenchMeta {
         smoke: opts.smoke,
-        dataset: id.name().to_string(),
-        nodes: g.node_count(),
-        edges: g.edge_count(),
         clients: CLIENTS,
         window_us: WINDOW_US,
         pipeline: PIPELINE,
         idle_conns,
-        worker_threads: server.worker_threads(),
+        worker_threads,
         top_k: TOP_K,
         c: C,
         k: K,
     };
-    let json = ssr_serve::loadgen::render_serve_json(&meta, &phases);
+    let json = ssr_serve::loadgen::render_serve_json(&meta, &datasets);
     std::fs::write(&opts.out_path, json).expect("write bench JSON");
     println!("wrote {}", opts.out_path.display());
-    server.shutdown();
 }

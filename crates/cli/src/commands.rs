@@ -56,36 +56,36 @@ COMMANDS:
             --input FILE [--host 127.0.0.1] [--port 0] [--announce FILE]
             [--c 0.6] [--k 5] [--compress false] [--window-us 500]
             [--max-batch 64] [--workers 1] [--queue 1024] [--cache 4096]
-            [--cache-shards 8] [--shards 1] [--max-conns 256]
+            [--cache-shards 8] [--max-conns 256]
             [--trace-sample 0] [--trace-out FILE]
             port 0 binds an ephemeral port; --announce writes the bound
-            address to FILE once listening; --shards N partitions the
-            graph by weakly-connected component across N engine workers
-            (scatter-gather answers stay bit-identical to --shards 1);
-            --trace-sample N records a span trace for 1 in N requests
+            address to FILE once listening; --workers N runs N flush
+            workers over one shared engine (answers stay bit-identical
+            to --workers 1); --trace-sample N records a span trace for 1 in N requests
             (0 = off, retunable via the admin config op), fetched through
             the trace op or streamed as JSONL with --trace-out
   bench-serve  closed-loop load generator against a running serve instance
             (--addr HOST:PORT | --announce FILE [--wait-announce 10])
             [--clients 16] [--requests 125] [--top-k 10]
             [--window-us 800] [--pipeline 8] [--idle-conns 1024]
-            [--shards 1] [--name serve] [--out BENCH_serve.json]
+            [--workers 1] [--name serve] [--out BENCH_serve.json]
             [--smoke false] [--shutdown false]
             runs the serial / batched / cached phases, the json/ssb
             protocol comparison (serial + pipelined), and a connection-
             scaling phase holding --idle-conns open sockets, then writes
             the ssr-bench/serve/v1 JSON; --announce waits for a serve
-            --announce file instead of a fixed address; --shards N (against
-            a serve --shards N instance) runs only the shard-axis pair,
-            emitting serial_shardsN / batched_shardsN modes
+            --announce file instead of a fixed address; --workers N
+            (labeling a serve --workers N instance, N > 1) runs only the
+            workers-axis pair, emitting serial_workersN / batched_workersN
+            modes
   serve-probe  dump a server's deterministic top-k answers for diffing
             (--addr HOST:PORT | --announce FILE [--wait-announce 10])
             [--top-k 10] [--count n] [--metrics false] [--healthz false]
             one query\\tnode\\tscore line per match with shortest-round-
             trip scores: diff two probes to prove bit-identical serving
-            (CI diffs --shards 1 against --shards N this way);
-            --healthz is a readiness check: one ping, prints the epoch
-            and shard count, nonzero exit on any failure
+            (CI diffs --workers 1 against --workers N this way);
+            --healthz is a readiness check: one ping, prints the epoch,
+            nonzero exit on any failure
   trace     offline analyzer for trace JSONL exports (serve --trace-out
             files, one document per line)
             trace summarize --input FILE [--min 1]
@@ -1287,12 +1287,12 @@ mod tests {
         std::fs::remove_file(&out_path).ok();
     }
 
-    /// One pass over the whole sharded CLI surface: `serve --shards`,
+    /// One pass over the whole workers CLI surface: `serve --workers`,
     /// `serve-probe` through `--announce`/`--wait-announce`, probe-diff
-    /// bit identity against an unsharded server, and the `bench-serve
-    /// --shards` shard-axis modes.
+    /// bit identity against a one-worker server, and the `bench-serve
+    /// --workers` workers-axis modes.
     #[test]
-    fn sharded_serve_probe_and_bench_shard_axis() {
+    fn workers_serve_probe_and_bench_workers_axis() {
         use ssr_serve::json::{parse_json, Json};
         let p = tmp_graph();
         let dir = std::env::temp_dir().join("simstar_cli_test");
@@ -1300,11 +1300,11 @@ mod tests {
         let pid = std::process::id();
         let mut announces = Vec::new();
         let mut servers = Vec::new();
-        for shards in [1usize, 2] {
-            let announce = dir.join(format!("shard_addr_{pid}_{shards}.txt"));
+        for workers in [1usize, 2] {
+            let announce = dir.join(format!("workers_addr_{pid}_{workers}.txt"));
             std::fs::remove_file(&announce).ok();
             let serve_args = toks(&format!(
-                "--input {p} --port 0 --announce {} --shards {shards} --window-us 200",
+                "--input {p} --port 0 --announce {} --workers {workers} --window-us 200",
                 announce.to_string_lossy()
             ));
             servers.push(std::thread::spawn(move || run("serve", &serve_args)));
@@ -1329,30 +1329,33 @@ mod tests {
         };
         assert!(!body(&probes[0]).is_empty());
         // The acceptance property, over the wire: shortest-round-trip
-        // score lines diff empty between shards=1 and shards=2.
-        assert_eq!(body(&probes[0]), body(&probes[1]), "sharded probe differs from unsharded");
-        // bench-serve --shards runs only the shard-axis pair.
-        let out_path = dir.join(format!("bench_shards_{pid}.json"));
+        // score lines diff empty between workers=1 and workers=2.
+        assert_eq!(body(&probes[0]), body(&probes[1]), "2-worker probe differs from 1-worker");
+        // bench-serve --workers runs only the workers-axis pair.
+        let out_path = dir.join(format!("bench_workers_{pid}.json"));
         let out = run(
             "bench-serve",
             &toks(&format!(
                 "--announce {} --clients 2 --requests 3 --top-k 3 --window-us 200 \
-                 --shards 2 --name fig1 --out {}",
+                 --workers 2 --name fig1 --out {}",
                 announces[1].to_string_lossy(),
                 out_path.to_string_lossy()
             )),
         )
         .unwrap();
-        assert!(out.contains("serial_shards2"), "{out}");
+        assert!(out.contains("serial_workers2"), "{out}");
         let doc = parse_json(std::fs::read_to_string(&out_path).unwrap().trim()).unwrap();
         let ds = &doc.get("datasets").and_then(Json::as_arr).unwrap()[0];
         let modes = ds.get("modes").unwrap();
-        for m in ["serial_shards2", "batched_shards2"] {
+        for m in ["serial_workers2", "batched_workers2"] {
             let mode = modes.get(m).unwrap_or_else(|| panic!("{m} mode missing"));
-            assert_eq!(mode.get("shards").and_then(Json::as_num), Some(2.0), "{m}");
+            assert_eq!(mode.get("workers").and_then(Json::as_num), Some(2.0), "{m}");
             assert!(mode.get("p50_us").and_then(Json::as_num).unwrap() > 0.0, "{m}");
         }
-        assert!(modes.get("serial").is_none(), "unsharded modes must not appear in a --shards run");
+        assert!(
+            modes.get("serial").is_none(),
+            "one-worker modes must not appear in a --workers run"
+        );
         for a in &announces {
             let addr = std::fs::read_to_string(a).unwrap().trim().to_string();
             let mut c = ssr_serve::client::Client::connect(&addr).unwrap();

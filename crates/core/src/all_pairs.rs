@@ -50,7 +50,7 @@
 //! ```
 
 use crate::kernel::{transpose_into, PlainRightMultiplier, RightMultiplier, BLOCK};
-use crate::query_engine::{copy_lane_into, partial_top_k, QueryEngineOptions, SeriesKind};
+use crate::query_engine::{copy_lane_into, lane_top_k, QueryEngineOptions, SeriesKind};
 use crate::{QueryEngine, SimStarParams, SimilarityMatrix};
 use ssr_compress::{CompressOptions, SizeReport};
 use ssr_graph::{DiGraph, NodeId};
@@ -235,20 +235,25 @@ impl AllPairsEngine {
         let threads = self.worker_count(subset.len());
         dispatch_row_blocks(out.as_mut_slice(), n, BLOCK, threads, |start_row, slab| {
             let chunk = &subset[start_row..start_row + slab.len() / n];
-            self.qe.sweep_chunk(&self.qe.block_scratch, chunk.iter().copied(), &mut (), |w, _| {
-                for (lane, row) in slab.chunks_mut(n).enumerate() {
-                    copy_lane_into(w, lane, row);
-                }
-            });
+            self.qe.sweep_chunk(
+                &self.qe.block_scratch,
+                chunk.iter().copied(),
+                &mut (),
+                |w, _, _| {
+                    for (lane, row) in slab.chunks_mut(n).enumerate() {
+                        copy_lane_into(w, lane, row);
+                    }
+                },
+            );
         });
         out
     }
 
     /// Streaming top-`k`: for every node of `subset`, its `k` best matches
-    /// (excluding itself, ties broken by ascending id) by partial selection
-    /// — ranked per block as the sweep produces it, so the full matrix is
-    /// never materialized. Peak memory is one scratch set per worker plus
-    /// the result, not `n²`.
+    /// (excluding itself, ties broken by ascending id) — each lane ranked
+    /// straight off the block's folded frontier as the sweep produces it,
+    /// so the full matrix is never materialized. Peak memory is one
+    /// scratch set per worker plus the result, not `n²`.
     pub fn top_k(&self, subset: &[NodeId], k: usize) -> Vec<Vec<(NodeId, f64)>> {
         let n = self.node_count();
         for &q in subset {
@@ -261,22 +266,13 @@ impl AllPairsEngine {
         let threads = self.worker_count(subset.len());
         dispatch_row_blocks(&mut results, 1, BLOCK, threads, |start_row, res_chunk| {
             let chunk = &subset[start_row..start_row + res_chunk.len()];
-            let mut row = vec![0.0; n];
             self.qe.sweep_chunk(
                 &self.qe.block_scratch,
                 chunk.iter().copied(),
                 &mut (),
-                |w, idx| {
+                |w, row, idx| {
                     for (lane, (&q, out)) in chunk.iter().zip(res_chunk.iter_mut()).enumerate() {
-                        copy_lane_into(w, lane, &mut row);
-                        *out = partial_top_k(&row, q, k, idx);
-                        if !w.dense {
-                            // Sparse result: only the support was written;
-                            // re-zero it so the next lane starts from a clean row.
-                            for &i in &w.active {
-                                row[i as usize] = 0.0;
-                            }
-                        }
+                        *out = lane_top_k(w, lane, q, k, row, idx);
                     }
                 },
             );

@@ -27,9 +27,11 @@
 //!   back to the blocked dense kernels behind [`crate::RightMultiplier`]
 //!   once the frontier saturates past a density cutoff. Scratch lives in a
 //!   pool per lane width; the hot path allocates nothing after warmup.
-//! * **Top-k** — [`QueryEngine::top_k`] selects the `k` best matches by
-//!   partial selection (`select_nth_unstable`) instead of sorting the full
-//!   row.
+//! * **Top-k** — [`QueryEngine::top_k`], [`QueryEngine::top_k_batch`] and
+//!   the all-pairs top-k rank each folded lane in place: a sparse lane
+//!   ranks only its positive support (`select_nth_unstable`, no full-row
+//!   sort) and fills the rest with zero scores by ascending id, so a
+//!   query whose frontier stays small never pays `O(n)` for selection.
 //!
 //! Every path returns the same scores as the dense reference sweep
 //! ([`crate::single_source::single_source_dense`]) within `1e-10` — the
@@ -227,9 +229,9 @@ impl<const L: usize> Frontier<L> {
     }
 }
 
-/// Reusable per-sweep state (four frontiers, the `V_λ` accumulators, and an
-/// index buffer for top-k selection — ≈ `(K+5)·8·L·n` bytes), pooled by the
-/// engine per lane width: no allocation on the hot path after warmup.
+/// Reusable per-sweep state (four frontiers, the `V_λ` accumulators, and the
+/// top-k selection buffers — ≈ `(K+5)·8·L·n` bytes), pooled by the engine
+/// per lane width: no allocation on the hot path after warmup.
 pub(crate) struct Scratch<const L: usize> {
     u: Frontier<L>,
     u_next: Frontier<L>,
@@ -239,6 +241,9 @@ pub(crate) struct Scratch<const L: usize> {
     /// forward pass; cleared (cost proportional to support) by the Horner
     /// pass that consumes them.
     vs: Vec<Frontier<L>>,
+    /// [`lane_top_k`]'s buffers: a dense lane's row copy and the ranked
+    /// ids.
+    row: Vec<f64>,
     idx: Vec<u32>,
 }
 
@@ -250,6 +255,7 @@ impl<const L: usize> Scratch<L> {
             w: Frontier::new(n),
             w_next: Frontier::new(n),
             vs: (0..=k).map(|_| Frontier::new(n)).collect(),
+            row: Vec::new(),
             idx: Vec::new(),
         }
     }
@@ -603,41 +609,6 @@ impl QueryEngine {
         }
     }
 
-    /// Builds an engine over the subgraph induced by `nodes` — the
-    /// sub-engine constructor behind the serve layer's shard router.
-    ///
-    /// `nodes` must be strictly ascending and in range; the subset's nodes
-    /// are relabeled to `0..nodes.len()` by rank, so the relabeling is
-    /// monotone. When the subset is additionally **closed under weak
-    /// connectivity** (a union of whole weakly-connected components, as
-    /// produced by [`ssr_graph::pack_components`]), every kept node keeps
-    /// its full in/out neighborhood, in the same relative order and with
-    /// the same degrees — so in deterministic mode
-    /// ([`QueryEngineOptions::deterministic`]) the sub-engine's scores for
-    /// a subset node are **bit-identical** to the whole-graph engine's
-    /// scores restricted to the subset: identical weights pushed in
-    /// identical order is identical floating-point accumulation.
-    ///
-    /// Closure is the caller's contract (checking it would cost a full
-    /// component pass); a non-closed subset still yields a well-formed
-    /// engine, just over a graph with the crossing edges dropped.
-    pub fn for_node_subset(
-        g: &DiGraph,
-        nodes: &[NodeId],
-        params: SimStarParams,
-        opts: QueryEngineOptions,
-    ) -> Self {
-        assert!(
-            nodes.windows(2).all(|w| w[0] < w[1]),
-            "subset must be strictly ascending (monotone relabeling)"
-        );
-        if let Some(&last) = nodes.last() {
-            assert!((last as usize) < g.node_count(), "subset node out of range");
-        }
-        let (sub, _remap) = g.induced_subgraph(nodes);
-        Self::with_options(&sub, params, opts)
-    }
-
     /// Number of nodes of the indexed graph.
     pub fn node_count(&self) -> usize {
         self.n
@@ -699,17 +670,22 @@ impl QueryEngine {
         assert!((q as usize) < self.n, "query node out of range");
         assert_eq!(out.len(), self.n, "output buffer size");
         // One lane: the folded frontier's values are the row itself.
-        self.sweep_chunk(&self.scratch, std::iter::once(q), &mut (), |w, _| {
+        self.sweep_chunk(&self.scratch, std::iter::once(q), &mut (), |w, _, _| {
             out.copy_from_slice(&w.vals)
         });
     }
 
     /// Top-`k` most-similar nodes to `q` (excluding `q`, ties broken by
-    /// ascending id) by partial selection — no full-row sort.
+    /// ascending id), ranked straight off the folded frontier — no
+    /// full-row sort, and no `O(n)` pass while the frontier is sparse.
     pub fn top_k(&self, q: NodeId, k: usize) -> Vec<(NodeId, f64)> {
+        self.top_k_with(q, k, &mut ())
+    }
+
+    fn top_k_with(&self, q: NodeId, k: usize, hook: &mut impl StepHook) -> Vec<(NodeId, f64)> {
         assert!((q as usize) < self.n, "query node out of range");
-        self.sweep_chunk(&self.scratch, std::iter::once(q), &mut (), |w, idx| {
-            partial_top_k(&w.vals, q, k, idx)
+        self.sweep_chunk(&self.scratch, std::iter::once(q), hook, |w, row, idx| {
+            lane_top_k(w, 0, q, k, row, idx)
         })
     }
 
@@ -729,65 +705,92 @@ impl QueryEngine {
     }
 
     fn query_batch_with(&self, queries: &[NodeId], hook: &mut impl StepHook) -> Dense {
-        for &q in queries {
-            assert!((q as usize) < self.n, "query node out of range");
-        }
         let mut out = Dense::zeros(queries.len(), self.n);
-        // Locality-aware chunking: group queries by weakly-connected
-        // component so the lanes of each chunk overlap in support. Each
-        // lane's sweep is independent, so reordering changes execution
-        // grouping only — row `i` of the result is bitwise identical.
-        let mut order: Vec<(usize, NodeId)> = queries.iter().copied().enumerate().collect();
-        order.sort_by_key(|&(i, q)| (self.component[q as usize], q, i));
-        for chunk in order.chunks(BLOCK) {
-            self.sweep_chunk(&self.block_scratch, chunk.iter().map(|&(_, q)| q), hook, |w, _| {
-                for (lane, &(row, _)) in chunk.iter().enumerate() {
-                    copy_lane_into(w, lane, out.row_mut(row));
-                }
-            });
+        for chunk in self.block_order(queries).chunks(BLOCK) {
+            self.sweep_chunk(
+                &self.block_scratch,
+                chunk.iter().map(|&(_, q)| q),
+                hook,
+                |w, _, _| {
+                    for (lane, &(row, _)) in chunk.iter().enumerate() {
+                        copy_lane_into(w, lane, out.row_mut(row));
+                    }
+                },
+            );
         }
         out
     }
 
-    /// Batched top-`k`: one partial selection per result row.
+    /// Batched top-`k`: entry `i` is `top_k(queries[i], k)`, each lane
+    /// ranked straight off the folded frontier (no `n`-wide result rows).
     pub fn top_k_batch(&self, queries: &[NodeId], k: usize) -> Vec<Vec<(NodeId, f64)>> {
-        let rows = self.query_batch(queries);
-        Self::select_top_k(&rows, queries, k)
+        self.top_k_batch_with(queries, k, &mut ())
     }
 
     /// [`Self::top_k_batch`] with per-advance introspection appended to
     /// `trace`. The ranked lists are bitwise identical to the untraced
-    /// call (selection is a pure function of the batch rows).
+    /// call (only timing is captured around each frontier advance).
     pub fn top_k_batch_traced(
         &self,
         queries: &[NodeId],
         k: usize,
         trace: &mut EngineTrace,
     ) -> Vec<Vec<(NodeId, f64)>> {
-        let rows = self.query_batch_traced(queries, trace);
-        Self::select_top_k(&rows, queries, k)
+        self.top_k_batch_with(queries, k, trace)
     }
 
-    fn select_top_k(rows: &Dense, queries: &[NodeId], k: usize) -> Vec<Vec<(NodeId, f64)>> {
-        let mut idx = Vec::new();
-        queries
-            .iter()
-            .enumerate()
-            .map(|(i, &q)| partial_top_k(rows.row(i), q, k, &mut idx))
-            .collect()
+    fn top_k_batch_with(
+        &self,
+        queries: &[NodeId],
+        k: usize,
+        hook: &mut impl StepHook,
+    ) -> Vec<Vec<(NodeId, f64)>> {
+        // A batch of one sweeps one lane, not `BLOCK` (deterministic lanes
+        // are width-independent, so the bits are the batched ones).
+        if let &[q] = queries {
+            return vec![self.top_k_with(q, k, hook)];
+        }
+        let mut out = vec![Vec::new(); queries.len()];
+        for chunk in self.block_order(queries).chunks(BLOCK) {
+            self.sweep_chunk(
+                &self.block_scratch,
+                chunk.iter().map(|&(_, q)| q),
+                hook,
+                |w, row, idx| {
+                    for (lane, &(i, q)) in chunk.iter().enumerate() {
+                        out[i] = lane_top_k(w, lane, q, k, row, idx);
+                    }
+                },
+            );
+        }
+        out
+    }
+
+    /// `(position, query)` pairs in locality-aware chunk order: grouped by
+    /// weakly-connected component so the lanes of each `BLOCK` chunk
+    /// overlap in support. Each lane's sweep is independent, so reordering
+    /// changes execution grouping only — every position's result is
+    /// bitwise identical.
+    fn block_order(&self, queries: &[NodeId]) -> Vec<(usize, NodeId)> {
+        for &q in queries {
+            assert!((q as usize) < self.n, "query node out of range");
+        }
+        let mut order: Vec<(usize, NodeId)> = queries.iter().copied().enumerate().collect();
+        order.sort_by_key(|&(i, q)| (self.component[q as usize], q, i));
+        order
     }
 
     /// Runs [`Self::sweep`] for one chunk of at most `L` queries on a
     /// scratch from `pool`, then hands the folded result (lane `i` holds
-    /// the `i`-th query's row) and the scratch's selection buffer to
-    /// `read`. `&self` only touches shared immutable state, so disjoint
+    /// the `i`-th query's row) and the scratch's [`lane_top_k`] buffers
+    /// to `read`. `&self` only touches shared immutable state, so disjoint
     /// chunks may sweep concurrently — the all-pairs engine's workers do.
     pub(crate) fn sweep_chunk<const L: usize, R>(
         &self,
         pool: &Mutex<Vec<Scratch<L>>>,
         queries: impl ExactSizeIterator<Item = NodeId>,
         hook: &mut impl StepHook,
-        read: impl FnOnce(&Frontier<L>, &mut Vec<u32>) -> R,
+        read: impl FnOnce(&Frontier<L>, &mut Vec<f64>, &mut Vec<u32>) -> R,
     ) -> R {
         let mut s = pool
             .lock()
@@ -795,7 +798,7 @@ impl QueryEngine {
             .pop()
             .unwrap_or_else(|| Scratch::new(self.n, self.params.iterations));
         self.sweep(queries, &mut s, hook);
-        let out = read(&s.w, &mut s.idx);
+        let out = read(&s.w, &mut s.row, &mut s.idx);
         s.w.clear();
         pool.lock().expect("scratch pool poisoned").push(s);
         out
@@ -1001,30 +1004,59 @@ fn advance<const L: usize>(
     next.clear();
 }
 
-/// Top-`k` of `row` excluding `q`, by partial selection: `O(n + k log k)`
-/// instead of the `O(n log n)` full sort. The comparator (descending score,
-/// ascending id) is a total order, so the result is deterministic even with
-/// tied scores and matches the sort-based reference exactly.
-pub(crate) fn partial_top_k(
-    row: &[f64],
+/// Top-`k` of lane `lane` of a folded frontier, excluding `q`, ranked by
+/// descending score then ascending id — a total order, so the result is
+/// exactly the first `k` of the sorted full row. A sparse lane ranks its
+/// positive support by partial selection and fills the rest with zero
+/// scores by ascending id, skipping `q` and the positive nodes:
+/// `O(support + k log k)`, independent of `n` while `k` stays below the
+/// zero-score candidates. A dense lane is copied into `row` (at `L = 1`
+/// the values already are the row) and selected over all `n` nodes.
+pub(crate) fn lane_top_k<const L: usize>(
+    w: &Frontier<L>,
+    lane: usize,
     q: NodeId,
     k: usize,
+    row: &mut Vec<f64>,
     idx: &mut Vec<u32>,
 ) -> Vec<(NodeId, f64)> {
+    let n = w.member.len() as u32;
     idx.clear();
-    idx.extend((0..row.len() as u32).filter(|&v| v != q));
-    let cmp = |a: &u32, b: &u32| {
-        row[*b as usize].partial_cmp(&row[*a as usize]).expect("finite scores").then(a.cmp(b))
-    };
-    let k = k.min(idx.len());
+    if w.dense {
+        let row: &[f64] = if L == 1 {
+            &w.vals
+        } else {
+            row.clear();
+            row.extend(w.vals.chunks_exact(L).map(|node| node[lane]));
+            row
+        };
+        idx.extend((0..n).filter(|&v| v != q));
+        return rank(idx, k, |v| row[v as usize]);
+    }
+    // Off the active list every value is exactly zero.
+    let score = |v: u32| w.vals[v as usize * L + lane];
+    idx.extend(w.active.iter().copied().filter(|&v| v != q && score(v) > 0.0));
+    let mut top = rank(idx, k, score);
+    let fill = k.saturating_sub(top.len());
+    top.extend((0..n).filter(|&v| v != q && score(v) <= 0.0).take(fill).map(|v| (v, score(v))));
+    top
+}
+
+/// The best `k` of `ids` by descending `score` then ascending id, in that
+/// order, by partial selection: `O(|ids| + k log k)` instead of a full
+/// sort. Reorders `ids`.
+fn rank(ids: &mut [u32], k: usize, score: impl Fn(u32) -> f64) -> Vec<(NodeId, f64)> {
+    let cmp =
+        |a: &u32, b: &u32| score(*b).partial_cmp(&score(*a)).expect("finite scores").then(a.cmp(b));
+    let k = k.min(ids.len());
     if k == 0 {
         return Vec::new();
     }
-    if k < idx.len() {
-        idx.select_nth_unstable_by(k - 1, cmp);
+    if k < ids.len() {
+        ids.select_nth_unstable_by(k - 1, cmp);
     }
-    idx[..k].sort_unstable_by(cmp);
-    idx[..k].iter().map(|&v| (v, row[v as usize])).collect()
+    ids[..k].sort_unstable_by(cmp);
+    ids[..k].iter().map(|&v| (v, score(v))).collect()
 }
 
 #[cfg(test)]

@@ -2,13 +2,16 @@
 //! (sparse-frontier, dense fallback, one lane and batched lanes, memory and
 //! access backings) to the dense reference sweep, — via Lemma 4 — to the
 //! corresponding row of the all-pairs geometric iteration, and to the
-//! Sylvester fixed point, plus top-k against the full-row sort.
+//! Sylvester fixed point, plus every top-k path against the full-row sort.
 
 use proptest::prelude::*;
 use simrank_star::convergence::geometric_bound;
 use simrank_star::exact::solve_exact;
 use simrank_star::single_source::{single_source_dense, single_source_exponential_dense};
-use simrank_star::{geometric, QueryEngine, QueryEngineOptions, SeriesKind, SimStarParams};
+use simrank_star::{
+    geometric, AllPairsEngine, AllPairsOptions, QueryEngine, QueryEngineOptions, SeriesKind,
+    SimStarParams,
+};
 use ssr_graph::{DiGraph, NeighborAccess, NodeId};
 use std::sync::Arc;
 
@@ -138,43 +141,87 @@ proptest! {
     }
 }
 
+/// A graph with several weakly-connected components (edges only join
+/// nodes of equal residue mod 3) and two isolated nodes at the end.
+fn arb_component_graph() -> impl Strategy<Value = DiGraph> {
+    (5usize..=20).prop_flat_map(|n| {
+        let m = n as u32 - 2;
+        proptest::collection::vec((0..m, 0..m), 0..=3 * n).prop_map(move |edges| {
+            let kept: Vec<(u32, u32)> =
+                edges.into_iter().filter(|&(a, b)| a % 3 == b % 3).collect();
+            build(n, &kept)
+        })
+    })
+}
+
+/// The first `k` of `row` without `q`, fully sorted by descending score
+/// then ascending id, with scores as raw bits.
+fn full_sort(row: &[f64], q: NodeId, k: usize) -> Vec<(NodeId, u64)> {
+    let mut all: Vec<(NodeId, f64)> = row
+        .iter()
+        .enumerate()
+        .filter(|&(v, _)| v != q as usize)
+        .map(|(v, &s)| (v as NodeId, s))
+        .collect();
+    all.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+    bits(&all[..k.min(all.len())])
+}
+
+fn bits(ranked: &[(NodeId, f64)]) -> Vec<(NodeId, u64)> {
+    ranked.iter().map(|&(v, s)| (v, s.to_bits())).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Sub-engines over weakly-connected-component-closed node subsets
-    /// (the shard router's placement unit) are bit-identical to the
-    /// whole-graph deterministic engine on their slice: the monotone
-    /// relabeling preserves every in-neighborhood, so the floating-point
-    /// accumulation order coincides exactly.
+    /// Every top-k path ranks straight off the folded frontier (sparse
+    /// support + zero fill, or the dense lane) and must equal, bit for
+    /// bit, the full sort of the row the same path computes: `query(q)`
+    /// for `top_k` and a batch of one, the batch rows for `top_k_batch`,
+    /// and `rows` for the all-pairs `top_k` (default engines prune and
+    /// densify per lane width, so each width is its own oracle; the
+    /// deterministic engines' rows are width-independent, pinned too).
+    /// `k` runs past `n`, so the zero fill runs out of nodes.
     #[test]
-    fn subset_engine_bits_match_global_on_closed_subsets(
-        (n, edges, _q) in arb_graph_and_query(14, 44),
-        keep_mask in 0u32..1 << 8,
-    ) {
-        let g = build(n, &edges);
+    fn top_k_paths_match_full_sort_bit_for_bit(g in arb_component_graph()) {
+        let n = g.node_count();
         let p = SimStarParams { c: 0.7, iterations: 6 };
-        let opts = QueryEngineOptions { deterministic: true, ..Default::default() };
-        let comps = ssr_graph::components::weakly_connected_components(&g);
-        // A union of whole components, chosen by the mask (always
-        // non-empty: component 0 is forced in).
-        let subset: Vec<NodeId> = (0..n as NodeId)
-            .filter(|&v| {
-                let c = comps.label[v as usize];
-                c == 0 || keep_mask & (1 << (c % 8)) != 0
-            })
-            .collect();
-        let global = QueryEngine::with_options(&g, p, opts.clone());
-        let sub = QueryEngine::for_node_subset(&g, &subset, p, opts);
-        prop_assert_eq!(sub.node_count(), subset.len());
-        for (lq, &q) in subset.iter().enumerate() {
-            let sub_row = sub.query(lq as NodeId);
-            let full_row = global.query(q);
-            for (lv, &v) in subset.iter().enumerate() {
-                prop_assert_eq!(
-                    sub_row[lv].to_bits(),
-                    full_row[v as usize].to_bits(),
-                    "({}, {}) differs between subset and global engines", q, v
-                );
+        let all: Vec<NodeId> = (0..n as NodeId).collect();
+        let access: Arc<dyn NeighborAccess> = Arc::new(g.clone());
+        let det = QueryEngineOptions { deterministic: true, ..Default::default() };
+        let engines = [
+            QueryEngine::new(&g, p),
+            QueryEngine::with_options(&g, p, det.clone()),
+            QueryEngine::with_access(access.clone(), p, QueryEngineOptions::default()),
+            QueryEngine::with_access(access.clone(), p, det),
+        ];
+        let all_pairs = [
+            AllPairsEngine::new(&g, p),
+            AllPairsEngine::with_access(access, p, AllPairsOptions::default()),
+        ];
+        for k in 0..=n + 2 {
+            for e in &engines {
+                let rows = e.query_batch(&all);
+                let batch = e.top_k_batch(&all, k);
+                for &q in &all {
+                    let row = e.query(q);
+                    let want = full_sort(&row, q, k);
+                    prop_assert_eq!(&bits(&e.top_k(q, k)), &want, "top_k q={} k={}", q, k);
+                    prop_assert_eq!(&bits(&e.top_k_batch(&[q], k)[0]), &want, "batch of one");
+                    let batch_row = rows.row(q as usize);
+                    prop_assert_eq!(&bits(&batch[q as usize]), &full_sort(batch_row, q, k));
+                    if e.options().deterministic {
+                        prop_assert_eq!(row.as_slice(), batch_row);
+                    }
+                }
+            }
+            for ap in &all_pairs {
+                let rows = ap.rows(&all);
+                let ranked = ap.top_k(&all, k);
+                for &q in &all {
+                    let want = full_sort(rows.row(q as usize), q, k);
+                    prop_assert_eq!(&bits(&ranked[q as usize]), &want, "all-pairs q={} k={}", q, k);
+                }
             }
         }
     }

@@ -301,9 +301,10 @@ pub struct PhaseResult {
     pub protocol: &'static str,
     /// Pipelining depth of the phase.
     pub pipeline: usize,
-    /// Engine shard count of the server the phase ran against (1 =
-    /// unsharded) — the shard axis `bench_check` gates per mode.
-    pub shards: usize,
+    /// Flush workers of the server the phase ran against (as labeled by
+    /// the caller; 1 by default) — the workers axis `bench_check` gates
+    /// per mode.
+    pub workers: usize,
     /// Server-reported connection gauge while the phase's sockets (and
     /// any held idle ones) were open; 0 when not sampled.
     pub connections: u64,
@@ -373,7 +374,7 @@ fn run_phase(
         name: name.to_string(),
         protocol: plan.protocol.name(),
         pipeline: plan.pipeline.max(1),
-        shards: 1,
+        workers: 1,
         connections,
         report,
         cache_hits: after.0 - before.0,
@@ -417,16 +418,17 @@ pub fn run_standard_phases(
     Ok(results)
 }
 
-/// The shard-axis phases, run against a server started with `--shards N`:
-/// the `serial`/`batched` pair with `_shards{N}`-suffixed mode names, so a
-/// sharded server's numbers land in the same report (and under the same
-/// `bench_check` gate) as the unsharded ones without colliding. Cache off
-/// in both — the axis under test is the scatter-gather engine path.
-pub fn run_sharded_phases(
+/// The workers-axis phases, run against a server started with `--workers
+/// N`: the `serial`/`batched` pair with `_workers{N}`-suffixed mode names,
+/// so its numbers land in the same report (and under the same
+/// `bench_check` gate) as the one-worker ones without colliding. Cache
+/// off in both — the axis under test is concurrent flushes over one
+/// engine.
+pub fn run_workers_phases(
     addr: SocketAddr,
     plan: &LoadPlan,
     window_us: u64,
-    shards: usize,
+    workers: usize,
 ) -> Result<Vec<PhaseResult>, ClientError> {
     let mut admin = Client::connect(addr)?;
     let mut results = Vec::new();
@@ -434,9 +436,9 @@ pub fn run_sharded_phases(
         admin.config(Some(window), None, Some(CacheDirective::Off), None, None)?;
         admin.config(None, None, Some(CacheDirective::Clear), None, None)?;
         let phase_plan = plan.clone().with_protocol(WireFormat::Jsonl, 1);
-        let name = format!("{base}_shards{shards}");
+        let name = format!("{base}_workers{workers}");
         let mut result = run_phase(addr, &mut admin, &name, &phase_plan, 0)?;
-        result.shards = shards;
+        result.workers = workers;
         results.push(result);
     }
     Ok(results)
@@ -526,12 +528,6 @@ pub fn run_connections_phase(
 pub struct ServeBenchMeta {
     /// Whether this was the CI smoke variant.
     pub smoke: bool,
-    /// Dataset name (the `datasets[].name` key `bench_check` compares on).
-    pub dataset: String,
-    /// Node count of the served graph.
-    pub nodes: usize,
-    /// Edge count of the served graph.
-    pub edges: usize,
     /// Concurrent clients.
     pub clients: usize,
     /// Coalescing window of the batched/cached phases, µs.
@@ -550,18 +546,31 @@ pub struct ServeBenchMeta {
     pub k: usize,
 }
 
+/// The phases one bench run measured on one served graph.
+#[derive(Debug, Clone)]
+pub struct ServeDataset {
+    /// Dataset name (the `datasets[].name` key `bench_check` compares on).
+    pub name: String,
+    /// Node count of the served graph.
+    pub nodes: usize,
+    /// Edge count of the served graph.
+    pub edges: usize,
+    /// Every phase run against it, in order.
+    pub phases: Vec<PhaseResult>,
+}
+
 /// Renders the `ssr-bench/serve/v1` document. Modes carry `p50_us` so
 /// `bench_check`'s median gate applies unchanged; the headline ratios are
 /// `speedup_batched_vs_serial` and
 /// `speedup_ssb_pipelined_vs_json_serial` (throughput), plus per-mode
 /// protocol/pipeline/connection axes, hit-rate and shed counters — the
 /// serving-layer acceptance metrics.
-pub fn render_serve_json(meta: &ServeBenchMeta, phases: &[PhaseResult]) -> String {
+pub fn render_serve_json(meta: &ServeBenchMeta, datasets: &[ServeDataset]) -> String {
     let mode = |p: &PhaseResult| {
         Json::Obj(vec![
             ("protocol".into(), Json::Str(p.protocol.into())),
             ("pipeline".into(), Json::Num(p.pipeline as f64)),
-            ("shards".into(), Json::Num(p.shards as f64)),
+            ("workers".into(), Json::Num(p.workers as f64)),
             ("connections".into(), Json::Num(p.connections as f64)),
             ("requests".into(), Json::Num(p.report.requests as f64)),
             ("ok".into(), Json::Num(p.report.ok as f64)),
@@ -578,11 +587,24 @@ pub fn render_serve_json(meta: &ServeBenchMeta, phases: &[PhaseResult]) -> Strin
             ("mean_flush".into(), Json::Num(round3(p.mean_flush()))),
         ])
     };
-    let qps_of =
-        |name: &str| phases.iter().find(|p| p.name == name).map_or(0.0, |p| p.report.qps());
     let ratio = |num: f64, den: f64| if den > 0.0 { num / den } else { 0.0 };
-    let speedup = ratio(qps_of("batched"), qps_of("serial"));
-    let speedup_ssb = ratio(qps_of("ssb_pipelined"), qps_of("json_serial"));
+    let dataset = |d: &ServeDataset| {
+        let qps_of =
+            |name: &str| d.phases.iter().find(|p| p.name == name).map_or(0.0, |p| p.report.qps());
+        let speedup = ratio(qps_of("batched"), qps_of("serial"));
+        let speedup_ssb = ratio(qps_of("ssb_pipelined"), qps_of("json_serial"));
+        Json::Obj(vec![
+            ("name".into(), Json::Str(d.name.clone())),
+            ("nodes".into(), Json::Num(d.nodes as f64)),
+            ("edges".into(), Json::Num(d.edges as f64)),
+            (
+                "modes".into(),
+                Json::Obj(d.phases.iter().map(|p| (p.name.clone(), mode(p))).collect()),
+            ),
+            ("speedup_batched_vs_serial".into(), Json::Num(round2(speedup))),
+            ("speedup_ssb_pipelined_vs_json_serial".into(), Json::Num(round2(speedup_ssb))),
+        ])
+    };
     let doc = Json::Obj(vec![
         ("schema".into(), Json::Str("ssr-bench/serve/v1".into())),
         ("smoke".into(), Json::Bool(meta.smoke)),
@@ -600,20 +622,7 @@ pub fn render_serve_json(meta: &ServeBenchMeta, phases: &[PhaseResult]) -> Strin
         ),
         ("threads".into(), Json::Num(ssr_linalg::available_threads() as f64)),
         ("worker_threads".into(), Json::Num(meta.worker_threads as f64)),
-        (
-            "datasets".into(),
-            Json::Arr(vec![Json::Obj(vec![
-                ("name".into(), Json::Str(meta.dataset.clone())),
-                ("nodes".into(), Json::Num(meta.nodes as f64)),
-                ("edges".into(), Json::Num(meta.edges as f64)),
-                (
-                    "modes".into(),
-                    Json::Obj(phases.iter().map(|p| (p.name.clone(), mode(p))).collect()),
-                ),
-                ("speedup_batched_vs_serial".into(), Json::Num(round2(speedup))),
-                ("speedup_ssb_pipelined_vs_json_serial".into(), Json::Num(round2(speedup_ssb))),
-            ])]),
-        ),
+        ("datasets".into(), Json::Arr(datasets.iter().map(dataset).collect())),
     ]);
     doc.render() + "\n"
 }
@@ -643,7 +652,7 @@ mod tests {
             name: name.into(),
             protocol: if name.starts_with("ssb") { "ssb/1" } else { "json/1" },
             pipeline: if name.ends_with("pipelined") { 8 } else { 1 },
-            shards: 1,
+            workers: 1,
             connections: 0,
             report: LoadReport {
                 requests: 100,
@@ -679,9 +688,6 @@ mod tests {
     fn rendered_json_is_bench_check_compatible() {
         let meta = ServeBenchMeta {
             smoke: true,
-            dataset: "D05".into(),
-            nodes: 100,
-            edges: 400,
             clients: 16,
             window_us: 500,
             pipeline: 8,
@@ -698,13 +704,19 @@ mod tests {
             phase("json_serial", 1.0),
             phase("ssb_serial", 1.2),
             phase("ssb_pipelined", 3.0),
-            PhaseResult { shards: 2, ..phase("serial_shards2", 0.9) },
+            PhaseResult { workers: 2, ..phase("serial_workers2", 0.9) },
         ];
-        let text = render_serve_json(&meta, &phases);
+        let ds = ServeDataset { name: "D05".into(), nodes: 100, edges: 400, phases: phases.into() };
+        let er =
+            ServeDataset { name: "ER".into(), phases: vec![phase("serial", 1.0)], ..ds.clone() };
+        let text = render_serve_json(&meta, &[ds, er]);
         let doc = crate::json::parse_json(text.trim()).unwrap();
         assert_eq!(doc.get("schema").and_then(Json::as_str), Some("ssr-bench/serve/v1"));
         assert!(doc.get("worker_threads").and_then(Json::as_num).is_some());
-        let ds = &doc.get("datasets").and_then(Json::as_arr).unwrap()[0];
+        let datasets = doc.get("datasets").and_then(Json::as_arr).unwrap();
+        assert_eq!(datasets.len(), 2);
+        assert_eq!(datasets[1].get("name").and_then(Json::as_str), Some("ER"));
+        let ds = &datasets[0];
         assert_eq!(ds.get("name").and_then(Json::as_str), Some("D05"));
         let modes = ds.get("modes").unwrap();
         for m in ["serial", "batched", "cached", "json_serial", "ssb_serial", "ssb_pipelined"] {
@@ -720,11 +732,11 @@ mod tests {
             modes.get("ssb_pipelined").unwrap().get("protocol").and_then(Json::as_str),
             Some("ssb/1")
         );
-        // The shard axis rides along per mode: 1 everywhere by default,
-        // the labeled count on `_shardsN` modes.
-        assert_eq!(modes.get("serial").unwrap().get("shards").and_then(Json::as_num), Some(1.0));
+        // The workers axis rides along per mode: 1 everywhere by default,
+        // the labeled count on `_workersN` modes.
+        assert_eq!(modes.get("serial").unwrap().get("workers").and_then(Json::as_num), Some(1.0));
         assert_eq!(
-            modes.get("serial_shards2").unwrap().get("shards").and_then(Json::as_num),
+            modes.get("serial_workers2").unwrap().get("workers").and_then(Json::as_num),
             Some(2.0)
         );
         let speedup = ds.get("speedup_batched_vs_serial").and_then(Json::as_num).unwrap();

@@ -215,7 +215,7 @@ fn idle_connections_are_cheap_and_stay_live() {
     assert_eq!(stats.worker_threads, 3);
     // Every held socket still answers — first, last, and a few between.
     for i in [0usize, 67, 133, 199] {
-        assert_eq!(idle[i].ping().unwrap().0, 0, "idle connection {i}");
+        assert_eq!(idle[i].ping().unwrap(), 0, "idle connection {i}");
     }
     drop(idle);
     server.shutdown();
@@ -416,22 +416,22 @@ fn json_and_ssb_answers_are_bit_identical_solo_and_pipelined_across_reload() {
 
 /// Concurrent clients, an epoch swap (file reload + edge delta)
 /// mid-stream, and the assertion that every response is consistent with
-/// the epoch it claims — no stale-epoch answers. Runs both unsharded and
-/// with engine shards: a sharded epoch swap rebuilds every shard engine
-/// before the one snapshot pointer swap, so the guarantee must hold
-/// bit-for-bit there too (the graphs deliberately change component
-/// structure across epochs, so every swap also re-partitions).
+/// the epoch it claims — no stale-epoch answers. Runs with one flush
+/// worker and with two: concurrent flushes may straddle a swap, each on
+/// the snapshot it loaded, so the guarantee must hold bit-for-bit there
+/// too (the graphs deliberately change component structure across
+/// epochs).
 #[test]
 fn epoch_swap_under_concurrent_load_has_no_stale_answers() {
     epoch_swap_no_stale_answers(1);
 }
 
 #[test]
-fn sharded_epoch_swap_under_concurrent_load_has_no_stale_answers() {
-    epoch_swap_no_stale_answers(3);
+fn two_worker_epoch_swap_under_concurrent_load_has_no_stale_answers() {
+    epoch_swap_no_stale_answers(2);
 }
 
-fn epoch_swap_no_stale_answers(shards: usize) {
+fn epoch_swap_no_stale_answers(workers: usize) {
     let params = SimStarParams { c: 0.6, iterations: 6 };
     let server = Server::start(
         graph_v0(),
@@ -439,8 +439,7 @@ fn epoch_swap_no_stale_answers(shards: usize) {
         0,
         ServerOptions {
             params,
-            shards,
-            batch: BatcherOptions { window_us: 300, ..Default::default() },
+            batch: BatcherOptions { window_us: 300, workers, ..Default::default() },
             ..Default::default()
         },
     )
@@ -469,7 +468,7 @@ fn epoch_swap_no_stale_answers(shards: usize) {
     // Write v1 to a temp file for the reload op.
     let dir = std::env::temp_dir().join("ssr_serve_e2e");
     std::fs::create_dir_all(&dir).unwrap();
-    let v1_path = dir.join(format!("v1_{}_s{shards}.txt", std::process::id()));
+    let v1_path = dir.join(format!("v1_{}_w{workers}.txt", std::process::id()));
     std::fs::write(&v1_path, gio::to_edge_list_string(&v1)).unwrap();
 
     // (epoch, node, matches) per ok response, one stream per client.
@@ -566,17 +565,17 @@ fn epoch_swap_no_stale_answers(shards: usize) {
     server.shutdown();
 }
 
-/// The shard-router acceptance gate, over the wire: a server partitioned
-/// across engine shards answers bit-identically to an unsharded server on
-/// the same graph, on both wire formats, with `k` exceeding the smaller
-/// components (so cross-shard zero candidates reach the merged prefix).
-/// The thread budget grows by exactly one persistent worker per shard and
-/// is surfaced through `stats`.
+/// The flush-workers acceptance gate, over the wire: a server running
+/// three flush workers over one engine answers bit-identically to a
+/// one-worker server on the same graph, on both wire formats, with
+/// concurrent clients (so flushes overlap) and `k` exceeding the smaller
+/// components (so the zero fill past a query's component reaches the
+/// ranked prefix). The thread budget grows by exactly the extra workers
+/// and is surfaced through `stats`.
 #[test]
-fn sharded_server_answers_bit_identical_to_unsharded() {
+fn multi_worker_server_answers_bit_identical_to_one_worker() {
     let params = SimStarParams { c: 0.6, iterations: 6 };
-    // Three weakly-connected components of sizes 5, 3, 3: with three
-    // shards each lands on its own sub-engine.
+    // Three weakly-connected components of sizes 5, 3, 3.
     let graph = || {
         DiGraph::from_edges(
             11,
@@ -584,42 +583,60 @@ fn sharded_server_answers_bit_identical_to_unsharded() {
         )
         .unwrap()
     };
-    let k = 6; // larger than the 3-node components: zero tails merge in
-    let unsharded =
-        Server::start(graph(), "127.0.0.1", 0, ServerOptions { params, ..Default::default() })
-            .unwrap();
-    let sharded = Server::start(
-        graph(),
-        "127.0.0.1",
-        0,
-        ServerOptions { params, shards: 3, ..Default::default() },
-    )
-    .unwrap();
-    assert_eq!(unsharded.worker_threads(), 3);
-    // 1 event loop + 1 flush worker + 1 admin + 3 shard workers.
-    assert_eq!(sharded.worker_threads(), 6);
+    let k = 6; // larger than the 3-node components: the zero fill ranks
+    let with_workers = |workers: usize| {
+        let batch = BatcherOptions { window_us: 200, workers, ..Default::default() };
+        let opts = ServerOptions { params, batch, ..Default::default() };
+        Server::start(graph(), "127.0.0.1", 0, opts).unwrap()
+    };
+    let one = with_workers(1);
+    let three = with_workers(3);
+    assert_eq!(one.worker_threads(), 3);
+    // 1 event loop + 3 flush workers + 1 admin.
+    assert_eq!(three.worker_threads(), 5);
     for format in [WireFormat::Jsonl, WireFormat::Ssb] {
-        let mut single = Client::builder().protocol(format).connect(unsharded.addr()).unwrap();
-        let mut multi = Client::builder().protocol(format).connect(sharded.addr()).unwrap();
+        let mut single = Client::builder().protocol(format).connect(one.addr()).unwrap();
+        let expect: Vec<_> = (0..11u32)
+            .map(|node| {
+                let Reply::Ok(a) = single.query(node, k).unwrap() else {
+                    panic!("1 worker {node}")
+                };
+                assert_eq!(a.epoch, 0);
+                a.matches
+            })
+            .collect();
+        std::thread::scope(|scope| {
+            for c in 0..3u32 {
+                let (addr, expect) = (three.addr(), &expect);
+                scope.spawn(move || {
+                    let mut multi = Client::builder().protocol(format).connect(addr).unwrap();
+                    for i in 0..11u32 {
+                        let node = (i + 4 * c) % 11;
+                        let Reply::Ok(b) = multi.query(node, k).unwrap() else {
+                            panic!("3 workers {node}")
+                        };
+                        assert_eq!(
+                            b.matches, expect[node as usize],
+                            "{format:?} node {node}: 3-worker answer must be bit-identical"
+                        );
+                        assert_eq!(b.epoch, 0);
+                    }
+                });
+            }
+        });
+        // Cached pass: the cache returns the same bits.
+        let mut multi = Client::builder().protocol(format).connect(three.addr()).unwrap();
         for node in 0..11u32 {
-            let Reply::Ok(a) = single.query(node, k).unwrap() else { panic!("unsharded {node}") };
-            let Reply::Ok(b) = multi.query(node, k).unwrap() else { panic!("sharded {node}") };
-            assert_eq!(
-                a.matches, b.matches,
-                "{format:?} node {node}: sharded answer must be bit-identical"
-            );
-            assert_eq!((a.epoch, b.epoch), (0, 0));
-            // Cached pass: routed cache shards return the same bits.
             let Reply::Ok(c) = multi.query(node, k).unwrap() else { panic!() };
             assert!(c.cached, "{format:?} node {node} second pass must hit the cache");
-            assert_eq!(c.matches, a.matches);
+            assert_eq!(c.matches, expect[node as usize]);
         }
     }
-    let mut admin = Client::connect(sharded.addr()).unwrap();
+    let mut admin = Client::connect(three.addr()).unwrap();
     let stats = admin.stats().unwrap();
-    assert_eq!(stats.worker_threads, 6);
-    unsharded.shutdown();
-    sharded.shutdown();
+    assert_eq!(stats.worker_threads, 5);
+    one.shutdown();
+    three.shutdown();
 }
 
 /// Observability satellite regression: `stats` and `metrics` counters
@@ -687,17 +704,13 @@ fn lifetime_counters_survive_epoch_swaps() {
 /// The `metrics` op means the same thing on both wires: same metric name
 /// sets, and — fetched back-to-back with no queries in between — the
 /// query-stage histograms are value-identical across `json/1` and
-/// `ssb/1`. With two engine shards, both per-shard engine histograms
-/// record work.
+/// `ssb/1`.
 #[test]
-fn metrics_op_is_equivalent_across_codecs_with_per_shard_histograms() {
-    // Two weakly-connected components (5 + 3 nodes) so two shards both
-    // see queries.
+fn metrics_op_is_equivalent_across_codecs() {
+    // Two weakly-connected components (5 + 3 nodes).
     let graph =
         DiGraph::from_edges(8, &[(1, 0), (2, 0), (3, 1), (4, 3), (6, 5), (7, 6), (5, 7)]).unwrap();
-    let server =
-        Server::start(graph, "127.0.0.1", 0, ServerOptions { shards: 2, ..Default::default() })
-            .unwrap();
+    let server = Server::start(graph, "127.0.0.1", 0, ServerOptions::default()).unwrap();
     let addr = server.addr();
     let mut json = Client::builder().protocol(WireFormat::Jsonl).connect(addr).unwrap();
     let mut ssb = Client::builder().protocol(WireFormat::Ssb).connect(addr).unwrap();
@@ -734,15 +747,6 @@ fn metrics_op_is_equivalent_across_codecs_with_per_shard_histograms() {
     let total = hist(&a, "ssr_stage_us{stage=\"total\"}");
     assert_eq!(total.count, 16, "8 json + 8 ssb queries observed end-to-end");
 
-    // Per-shard decomposition at shards=2: both shards recorded engine
-    // time, and both codecs agree on the bits.
-    for shard in 0..2 {
-        let name = format!("ssr_shard_engine_us{{shard=\"{shard}\"}}");
-        let h = hist(&a, &name);
-        assert!(h.count > 0, "{name} must have recorded engine work");
-        assert_eq!(hist(&b, &name), h);
-    }
-
     // Per-codec counters: each wire counted its own traffic (8 queries +
     // 1 metrics fetch each; the ssb fetch happened after json's).
     let get = |m: &ssr_serve::MetricsReply, name: &str| {
@@ -756,7 +760,7 @@ fn metrics_op_is_equivalent_across_codecs_with_per_shard_histograms() {
 
 /// Tentpole invariant: stage spans are disjoint sub-intervals of a
 /// request's life, so for every sampled request
-/// `decode + cache + queue + engine + merge + encode ≤ total`. The
+/// `decode + cache + queue + engine + encode ≤ total`. The
 /// sample is the slow-query log at a 1µs threshold — every query
 /// qualifies — and the lines carry the full per-stage breakdown.
 #[test]
@@ -789,7 +793,6 @@ fn stage_span_sums_bound_end_to_end_latency() {
             + field("cache_us")
             + field("queue_us")
             + field("engine_us")
-            + field("merge_us")
             + field("encode_us");
         assert!(sum <= total, "stage sum {sum}µs exceeds end-to-end {total}µs in: {line}");
     }
@@ -861,7 +864,7 @@ fn reload_from_binary_store_is_bit_identical_to_text() {
     bytes[last] ^= 0x40;
     std::fs::write(&bad_path, &bytes).unwrap();
     assert!(admin.reload(&bad_path.to_string_lossy()).is_err());
-    assert_eq!(admin.ping().unwrap().0, 2);
+    assert_eq!(admin.ping().unwrap(), 2);
     server.shutdown();
     for p in [&text_path, &ssg_path, &bad_path] {
         std::fs::remove_file(p).ok();
@@ -869,22 +872,23 @@ fn reload_from_binary_store_is_bit_identical_to_text() {
 }
 
 /// Tracing tentpole acceptance: a server sampling every request
-/// (`trace_sample: 1`) across two engine shards answers bit-identically
-/// to an untraced single-engine server, every sampled reply carries its
-/// trace id, and every recorded trace satisfies the analyzer's
-/// invariants with per-shard engine spans.
+/// (`trace_sample: 1`) with two flush workers answers bit-identically to
+/// an untraced one-worker server, every sampled reply carries its trace
+/// id, and every recorded trace satisfies the analyzer's invariants with
+/// engine step spans nested directly under `engine`.
 #[test]
-fn traced_sharded_answers_match_untraced_unsharded_bits() {
-    // Two weakly-connected components so both shards compute.
+fn traced_multi_worker_answers_match_untraced_one_worker_bits() {
+    // Two weakly-connected components.
     let graph = || {
         DiGraph::from_edges(8, &[(1, 0), (2, 0), (3, 1), (4, 3), (6, 5), (7, 6), (5, 7)]).unwrap()
     };
     let plain = Server::start(graph(), "127.0.0.1", 0, ServerOptions::default()).unwrap();
+    let batch = BatcherOptions { workers: 2, ..Default::default() };
     let traced = Server::start(
         graph(),
         "127.0.0.1",
         0,
-        ServerOptions { shards: 2, trace_sample: 1, ..Default::default() },
+        ServerOptions { batch, trace_sample: 1, ..Default::default() },
     )
     .unwrap();
     for format in [WireFormat::Jsonl, WireFormat::Ssb] {
@@ -895,7 +899,7 @@ fn traced_sharded_answers_match_untraced_unsharded_bits() {
             let Reply::Ok(y) = b.query(node, 5).unwrap() else { panic!("traced {node}") };
             assert_eq!(
                 x.matches, y.matches,
-                "{format:?} node {node}: tracing + sharding must not move answer bits"
+                "{format:?} node {node}: tracing + flush workers must not move answer bits"
             );
             assert_eq!(x.trace_id, None, "untraced server must not stamp trace ids");
             assert!(y.trace_id.is_some(), "{format:?} node {node}: sampled reply carries its id");
@@ -906,7 +910,7 @@ fn traced_sharded_answers_match_untraced_unsharded_bits() {
     assert_eq!(dump.version, ssr_obs::TRACE_SCHEMA_VERSION);
     assert_eq!(dump.sample_every, 1);
     assert!(dump.traces.len() >= 16, "16 sampled queries, got {} traces", dump.traces.len());
-    let mut shard_spans = 0usize;
+    let mut step_spans = 0usize;
     for t in &dump.traces {
         t.validate().unwrap_or_else(|e| panic!("trace {}: {e}", t.id));
         let has = |name: &str| t.spans.iter().any(|s| s.name == name);
@@ -914,13 +918,23 @@ fn traced_sharded_answers_match_untraced_unsharded_bits() {
             assert!(has(required), "trace {} missing `{required}`", t.id);
         }
         if t.attr("cached") == Some("false") {
-            for required in ["queue", "engine", "merge"] {
+            for required in ["queue", "engine"] {
                 assert!(has(required), "uncached trace {} missing `{required}`", t.id);
             }
         }
-        shard_spans += t.spans.iter().filter(|s| s.name.starts_with("shard-")).count();
+        for s in &t.spans {
+            if s.name.starts_with("theta-") || s.name.starts_with("lambda-") {
+                let parent = &t.spans[s.parent as usize];
+                assert_eq!(
+                    parent.name, "engine",
+                    "trace {}: `{}` nests under engine",
+                    t.id, s.name
+                );
+                step_spans += 1;
+            }
+        }
     }
-    assert!(shard_spans > 0, "per-shard engine spans must appear in the span trees");
+    assert!(step_spans > 0, "engine step spans must appear in the span trees");
     plain.shutdown();
     traced.shutdown();
 }
@@ -975,18 +989,16 @@ fn trace_op_is_codec_equivalent_and_sampling_retunes_at_runtime() {
     server.shutdown();
 }
 
-/// The readiness probe's contract: `ping` answers with the live epoch
-/// and shard count on both codecs (what `serve-probe --healthz` prints).
+/// The readiness probe's contract: `ping` answers with the live epoch on
+/// both codecs (what `serve-probe --healthz` prints).
 #[test]
-fn ping_reports_epoch_and_shard_count() {
+fn ping_reports_epoch() {
     let graph =
         DiGraph::from_edges(8, &[(1, 0), (2, 0), (3, 1), (4, 3), (6, 5), (7, 6), (5, 7)]).unwrap();
-    let server =
-        Server::start(graph, "127.0.0.1", 0, ServerOptions { shards: 2, ..Default::default() })
-            .unwrap();
+    let server = Server::start(graph, "127.0.0.1", 0, ServerOptions::default()).unwrap();
     for format in [WireFormat::Jsonl, WireFormat::Ssb] {
         let mut client = Client::builder().protocol(format).connect(server.addr()).unwrap();
-        assert_eq!(client.ping().unwrap(), (0, 2), "{format:?}");
+        assert_eq!(client.ping().unwrap(), 0, "{format:?}");
     }
     server.shutdown();
 }
