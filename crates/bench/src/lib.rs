@@ -1,6 +1,7 @@
 //! # ssr-bench — experiment harness regenerating every table and figure
 //!
-//! One binary per paper artifact (see `DESIGN.md` §3 for the index):
+//! One binary per paper artifact, plus the perf trajectories and their
+//! regression gate:
 //!
 //! | Binary | Paper artifact |
 //! |---|---|
@@ -14,16 +15,16 @@
 //! | `exp_fig6f_amortized` | Fig. 6(f) amortised phase time |
 //! | `exp_fig6g_density` | Fig. 6(g) density sweep |
 //! | `exp_fig6h_memory` | Fig. 6(h) memory space |
+//! | `exp_ablation_compression` | ablation: edge-concentration mining configurations |
+//! | `exp_ablation_weights` | ablation: the §3.2 length-weight choice |
+//! | `tool_compression_stats` | edge-concentration statistics per dataset stand-in |
 //! | `exp_query_engine` | query-engine perf trajectory (`BENCH_query_engine.json`) |
 //! | `exp_allpairs` | all-pairs perf trajectory (`BENCH_allpairs.json`) |
 //! | `exp_serve` | serving-layer perf trajectory (`BENCH_serve.json`) |
 //! | `exp_store` | graph-store load trajectory (`BENCH_store.json`) |
+//! | `exp_obs_overhead` | CI gate: metrics + trace-sampler overhead on the serve path |
 //! | `bench_check` | CI perf-regression gate over the trajectories |
-//! | `run_all` | everything above, in order |
-//!
-//! Criterion benches (`cargo bench`) cover the timing-sensitive kernels:
-//! per-iteration cost (Fig. 6(e)), density scaling (Fig. 6(g)), convergence
-//! iteration counts, and micro-kernels.
+//! | `run_all` | the paper figures, the convergence table, and the query/serve/store trajectories |
 //!
 //! This crate also hosts the shared runner ([`runners`]) that executes each
 //! of the paper's five algorithm configurations with per-phase timing, and

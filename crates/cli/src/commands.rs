@@ -25,21 +25,19 @@ COMMANDS:
             [--c 0.6] [--k 5] [--threshold 0] [--format text|json]
             [--output FILE] [--load-full false]
   allpairs  block-parallel all-pairs SimRank* through the AllPairsEngine
-            --input FILE [--top-k K] [--subset ID,ID,...] [--compress false]
+            --input FILE [--top-k K] [--subset ID,ID,...]
             [--threads 0] [--blocks 0] [--c 0.6] [--k 5] [--threshold 0]
             [--format text|json] [--output FILE] [--load-full false]
             [--memory false]
             --subset computes only those rows (partial pairs); --top-k
             streams per-row rankings without materializing the matrix —
             both run straight off a v2 .ssg store (bounded memory); the
-            full matrix and --compress need the in-memory CSR (--load-full
-            true on v2 input); --compress runs the memoized (edge-
-            concentrated) kernel and reports its compression stats;
-            --format json emits machine-readable output (rankings share
+            full matrix needs the in-memory CSR (--load-full true on v2
+            input); --format json emits machine-readable output (rankings share
             the serve protocol's matches shape)
   query     single-source SimRank* through the amortized QueryEngine
             --input FILE (--node ID | --nodes ID,ID,... | --batch N)
-            [--top-k 10] [--c 0.6] [--k 5] [--seed 0] [--compress false]
+            [--top-k 10] [--c 0.6] [--k 5] [--seed 0]
             [--format text|json] [--load-full false] [--memory false]
             [--deterministic false]
             --nodes/--batch run the batched lane kernel; --batch samples N
@@ -54,7 +52,7 @@ COMMANDS:
             TCP; see the README's Serving layer section for both wire
             formats)
             --input FILE [--host 127.0.0.1] [--port 0] [--announce FILE]
-            [--c 0.6] [--k 5] [--compress false] [--window-us 500]
+            [--c 0.6] [--k 5] [--window-us 500]
             [--max-batch 64] [--workers 1] [--queue 1024] [--cache 4096]
             [--cache-shards 8] [--max-conns 256]
             [--trace-sample 0] [--trace-out FILE]
@@ -113,7 +111,7 @@ COMMANDS:
             accepts .ssg files for --input (format sniffed by content);
             v2 stores stream through query/allpairs row paths, while
             full-CSR paths (compute, stats, audit, the all-pairs full
-            matrix, --compress, --batch) refuse them unless --load-full
+            matrix, --batch) refuse them unless --load-full
             true decodes the whole graph
             store build  --input FILE --output FILE.ssg
                          [--dataset NAME] [--divisor N] [--build-params S]
@@ -294,8 +292,8 @@ fn cmd_compute(rest: &[String]) -> Result<String, ArgError> {
     let mut sim = match algo {
         "gsr" => geometric::iterate(&g, &params),
         "esr" => exponential::closed_form(&g, &params),
-        "memo-gsr" => geometric::iterate_memo(&g, &params, &CompressOptions::default()),
-        "memo-esr" => exponential::closed_form_memo(&g, &params, &CompressOptions::default()),
+        "memo-gsr" => geometric::Memoized::new(&g, &CompressOptions::default()).run(&params),
+        "memo-esr" => exponential::Memoized::new(&g, &CompressOptions::default()).run(&params),
         "sr" => simrank::simrank(&g, c, k),
         "prank" => prank::prank_default(&g, c, k),
         "rwr" => rwr::rwr_matrix(&g, c, k),
@@ -346,7 +344,6 @@ fn cmd_allpairs(rest: &[String]) -> Result<String, ArgError> {
             "k",
             "top-k",
             "subset",
-            "compress",
             "threads",
             "blocks",
             "threshold",
@@ -371,7 +368,6 @@ fn cmd_allpairs(rest: &[String]) -> Result<String, ArgError> {
         ));
     }
     let opts = AllPairsOptions {
-        compress: args.get("compress", false)?,
         threads: args.get("threads", 0usize)?,
         block_rows: args.get("blocks", 0usize)?,
         ..Default::default()
@@ -397,13 +393,6 @@ fn cmd_allpairs(rest: &[String]) -> Result<String, ArgError> {
     } else {
         load_graph_source(&args)?
     };
-    if opts.compress && matches!(source, GraphSource::Access(_)) {
-        return Err(ArgError(
-            "--compress needs the in-memory graph (edge concentration reads the whole \
-             adjacency); pass `--load-full true`"
-                .into(),
-        ));
-    }
     let n = source.node_count();
     if let Some(rows) = &subset {
         if rows.is_empty() {
@@ -431,16 +420,6 @@ fn cmd_allpairs(rest: &[String]) -> Result<String, ArgError> {
     );
     if args.get("memory", false)? {
         out.push_str(&memory_line(engine.resident_bytes(), &source));
-    }
-    if let Some(r) = engine.compression() {
-        out.push_str(&format!(
-            "# compression: m={} m~={} ratio={:.1}% concentrators={} bytes={}\n",
-            r.original_edges,
-            r.compressed_edges,
-            100.0 * r.ratio,
-            r.concentrators,
-            r.estimated_bytes,
-        ));
     }
     let json_mode = format == OutputFormat::Json;
     if top > 0 {
@@ -562,7 +541,6 @@ fn cmd_query(rest: &[String]) -> Result<String, ArgError> {
             "c",
             "k",
             "seed",
-            "compress",
             "format",
             "json",
             "load-full",
@@ -622,17 +600,9 @@ fn cmd_query(rest: &[String]) -> Result<String, ArgError> {
         }
     }
     let opts = QueryEngineOptions {
-        compress: args.get("compress", false)?,
         deterministic: args.get("deterministic", false)?,
         ..Default::default()
     };
-    if opts.compress && matches!(source, GraphSource::Access(_)) {
-        return Err(ArgError(
-            "--compress needs the in-memory graph (edge concentration reads the whole \
-             adjacency); pass `--load-full true`"
-                .into(),
-        ));
-    }
     let engine = source.query_engine(params, opts);
     let memory = if args.get("memory", false)? {
         memory_line(engine.resident_bytes(), &source)
@@ -962,11 +932,15 @@ mod tests {
     fn allpairs_full_matches_compute_gsr() {
         let p = tmp_graph();
         let full = run("allpairs", &toks(&format!("--input {p} --k 4"))).unwrap();
-        let compute = run("compute", &toks(&format!("--input {p} --algo gsr --k 4"))).unwrap();
         let strip = |s: &str| {
             s.lines().filter(|l| !l.starts_with('#')).map(String::from).collect::<Vec<_>>()
         };
-        assert_eq!(strip(&full), strip(&compute));
+        // The plain and the memoized (edge-concentrated) kernel agree.
+        for algo in ["gsr", "memo-gsr"] {
+            let compute =
+                run("compute", &toks(&format!("--input {p} --algo {algo} --k 4"))).unwrap();
+            assert_eq!(strip(&full), strip(&compute), "{algo}");
+        }
     }
 
     #[test]
@@ -994,22 +968,6 @@ mod tests {
             q.lines().filter(|l| !l.starts_with('#')).map(|l| format!("8\t{l}")).collect();
         let got: Vec<&str> = out.lines().filter(|l| l.starts_with("8\t")).collect();
         assert_eq!(got, want);
-    }
-
-    #[test]
-    fn allpairs_compress_reports_stats() {
-        let p = tmp_graph();
-        let plain = run("allpairs", &toks(&format!("--input {p} --k 4"))).unwrap();
-        assert!(!plain.contains("# compression"));
-        let memo = run("allpairs", &toks(&format!("--input {p} --k 4 --compress true"))).unwrap();
-        assert!(memo.contains("# compression"), "{memo}");
-        assert!(memo.contains("ratio="));
-        assert!(memo.contains("bytes="));
-        // Same scores either way.
-        let strip = |s: &str| {
-            s.lines().filter(|l| !l.starts_with('#')).map(String::from).collect::<Vec<_>>()
-        };
-        assert_eq!(strip(&plain), strip(&memo));
     }
 
     #[test]
@@ -1093,16 +1051,6 @@ mod tests {
         assert!(out.contains("batched top-3"));
         let rows = out.lines().filter(|l| !l.starts_with('#')).count();
         assert!(rows > 0 && rows <= 12, "{rows}");
-    }
-
-    #[test]
-    fn query_compressed_engine_matches_plain() {
-        let p = tmp_graph();
-        let plain = run("query", &toks(&format!("--input {p} --nodes 1,2 --top-k 3"))).unwrap();
-        let memo =
-            run("query", &toks(&format!("--input {p} --nodes 1,2 --top-k 3 --compress true")))
-                .unwrap();
-        assert_eq!(plain, memo);
     }
 
     #[test]
@@ -1482,15 +1430,9 @@ mod tests {
             let reference = run(cmd, &toks(&args.replacen(&ssg, &text, 1))).unwrap();
             assert_eq!(out, reference, "{cmd}");
         }
-        // Batched sampling and edge concentration also need the CSR.
+        // Batched sampling also needs the CSR.
         let err = run("query", &toks(&format!("--input {ssg} --batch 3"))).unwrap_err();
         assert!(err.0.contains("--load-full"), "{err}");
-        let err =
-            run("query", &toks(&format!("--input {ssg} --node 8 --compress true"))).unwrap_err();
-        assert!(err.0.contains("--compress needs the in-memory graph"), "{err}");
-        let err = run("allpairs", &toks(&format!("--input {ssg} --top-k 2 --compress true")))
-            .unwrap_err();
-        assert!(err.0.contains("--compress needs the in-memory graph"), "{err}");
         std::fs::remove_file(&ssg).ok();
     }
 

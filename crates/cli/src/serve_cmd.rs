@@ -2,7 +2,7 @@
 //! layer's process entry point and its closed-loop load generator.
 
 use crate::args::{ArgError, Args};
-use simrank_star::{QueryEngineOptions, SimStarParams};
+use simrank_star::SimStarParams;
 use ssr_serve::batcher::BatcherOptions;
 use ssr_serve::client::{Client, Reply};
 use ssr_serve::loadgen::{
@@ -25,7 +25,6 @@ pub fn cmd_serve(rest: &[String]) -> Result<String, ArgError> {
             "announce",
             "c",
             "k",
-            "compress",
             "window-us",
             "max-batch",
             "workers",
@@ -46,7 +45,6 @@ pub fn cmd_serve(rest: &[String]) -> Result<String, ArgError> {
     }
     let opts = ServerOptions {
         params,
-        engine: QueryEngineOptions { compress: args.get("compress", false)?, ..Default::default() },
         cache_capacity: args.get("cache", 4096usize)?,
         cache_shards: args.get("cache-shards", 8usize)?,
         batch: BatcherOptions {

@@ -81,19 +81,8 @@ fn allpairs_pipeline() {
         "--output", graph,
     ]);
 
-    // Streaming top-k over the memoized kernel, with compression stats.
-    let ranked = run_ok(&[
-        "allpairs",
-        "--input",
-        graph,
-        "--top-k",
-        "3",
-        "--compress",
-        "true",
-        "--threads",
-        "2",
-    ]);
-    assert!(ranked.contains("# compression"), "{ranked}");
+    // Streaming top-k, never materializing the matrix.
+    let ranked = run_ok(&["allpairs", "--input", graph, "--top-k", "3", "--threads", "2"]);
     assert!(ranked.lines().filter(|l| !l.starts_with('#')).count() > 0);
 
     // Partial pairs for two rows must match the full matrix's rows.
@@ -122,6 +111,23 @@ fn bad_flag_exits_1_with_message() {
     let out = simstar().args(["stats", "--bogus", "x"]).output().expect("spawn");
     assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag"));
+}
+
+#[test]
+fn compress_flag_is_unknown_to_engine_commands() {
+    // Edge concentration lives only in `compute --algo memo-gsr|memo-esr`.
+    let graph_path = tmp("compress_flag.txt");
+    let graph = graph_path.to_str().unwrap();
+    run_ok(&["generate", "--kind", "er", "--nodes", "20", "--edges", "40", "--output", graph]);
+    for (cmd, mode) in [("query", "--node"), ("allpairs", "--top-k"), ("serve", "--k")] {
+        let out = simstar()
+            .args([cmd, "--input", graph, mode, "1", "--compress", "true"])
+            .output()
+            .expect("spawn");
+        assert_eq!(out.status.code(), Some(1), "{cmd}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("unknown flag `--compress`"), "{cmd}: {err}");
+    }
 }
 
 #[test]

@@ -1,24 +1,19 @@
 //! Block-parallel all-pairs SimRank\* engine.
 //!
 //! The paper's headline experiments are *all-pairs*: the full `n × n`
-//! similarity matrix, made tractable by fine-grained memoization
-//! (Algorithm 1 over the edge-concentrated kernel). This module gives that
-//! workload the same scale treatment the single-source [`QueryEngine`] got:
+//! similarity matrix. This module gives that workload the same scale
+//! treatment the single-source [`QueryEngine`] got:
 //!
 //! * **Block-parallel full sweep** — [`AllPairsEngine::full`] runs the
 //!   geometric recurrence `Ŝ_{k+1} = (C/2)(Ŝ_k Qᵀ + (Ŝ_k Qᵀ)ᵀ) + (1−C)·I`
 //!   with every `O(n²)` phase split into row blocks dispatched over scoped
 //!   worker threads ([`ssr_linalg::dispatch_row_blocks`]): the kernel
 //!   application `P = Ŝ·Qᵀ` runs through the 16-lane blocked kernels
-//!   behind [`RightMultiplier`], and the transpose/scale/diagonal update is **fused**
+//!   behind [`RightMultiplier`] (the same row-block dispatch as
+//!   [`RightMultiplier::apply_into`]), and the transpose/scale/diagonal update is **fused**
 //!   into one parallel pass (the seed path ran it as three serial sweeps
 //!   plus a fresh `n×n` allocation per iteration; here two ping-pong
 //!   buffers live for the whole run).
-//! * **Memoized kernels** — with [`AllPairsOptions::compress`] the sweep
-//!   applies the [`crate::CompressedRightMultiplier`] (edge concentration,
-//!   `O(n·(m̃+n))` per iteration instead of `O(n·(m+n))`), so the paper's
-//!   memoization speedup finally reaches the all-pairs path through the
-//!   same engine surface as everything else.
 //! * **Partial pairs** — [`AllPairsEngine::rows`] computes an arbitrary
 //!   row subset without paying for `n²`: each `BLOCK`-lane chunk of
 //!   requested rows runs the [`QueryEngine`]'s two-pass Horner sweep
@@ -29,9 +24,10 @@
 //!   materialize the full matrix: peak memory is one scratch set per
 //!   worker plus the `n·k` result, not `n²`.
 //!
-//! [`crate::geometric::iterate`], [`crate::geometric::iterate_memo`] and
-//! [`crate::geometric::Memoized::run`] are thin exact-compatible wrappers
-//! over the full sweep; the pre-blocking textbook loop survives as
+//! [`crate::geometric::iterate`] and [`crate::geometric::Memoized::run`]
+//! (memo-gSR\*, the paper's Algorithm 1 over the edge-concentrated kernel)
+//! are thin exact-compatible wrappers over the full sweep; the pre-blocking
+//! textbook loop survives as
 //! [`crate::geometric::iterate_serial`] — the benchmark baseline and the
 //! property-test oracle.
 //!
@@ -49,27 +45,22 @@
 //!    between the two phases (Pᵀ reads cross block boundaries)
 //! ```
 
-use crate::kernel::{transpose_into, PlainRightMultiplier, RightMultiplier, BLOCK};
+use crate::kernel::{
+    apply_row_blocks, pick_block_rows, LaneBuffers, PlainRightMultiplier, RightMultiplier, BLOCK,
+};
 use crate::query_engine::{copy_lane_into, lane_top_k, QueryEngineOptions, SeriesKind};
 use crate::{QueryEngine, SimStarParams, SimilarityMatrix};
-use ssr_compress::{CompressOptions, SizeReport};
 use ssr_graph::{DiGraph, NodeId};
 use ssr_linalg::{available_threads, dispatch_row_blocks, Dense};
 
 /// Tuning knobs of the [`AllPairsEngine`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct AllPairsOptions {
     /// Series the engine evaluates. `Geometric` (the default) computes the
     /// Eq. (14) fixed-point iterate; `Exponential` evaluates the Eq. (18)
     /// partial sum (the lattice form, like
     /// [`crate::series::exponential_partial_sum`]).
     pub kind: SeriesKind,
-    /// Run every sweep over the edge-concentrated kernel (Algorithm 1's
-    /// memoization). Compression is a preprocessing phase and runs eagerly
-    /// at engine construction.
-    pub compress: bool,
-    /// Compression options used when `compress` is set.
-    pub compress_options: CompressOptions,
     /// Worker threads for the block dispatch. `0` (the default) uses
     /// [`ssr_linalg::available_threads`]; an explicit count overrides it
     /// (the property tests pin results across arbitrary counts — blocking
@@ -80,18 +71,6 @@ pub struct AllPairsOptions {
     /// lane width, which keeps the shared work queue self-balancing
     /// without drowning it in tiny blocks.
     pub block_rows: usize,
-}
-
-impl Default for AllPairsOptions {
-    fn default() -> Self {
-        AllPairsOptions {
-            kind: SeriesKind::Geometric,
-            compress: false,
-            compress_options: CompressOptions::default(),
-            threads: 0,
-            block_rows: 0,
-        }
-    }
 }
 
 /// Block-parallel all-pairs SimRank\* engine. See the module docs.
@@ -113,8 +92,7 @@ pub struct AllPairsEngine {
     qe: QueryEngine,
     /// Plain-kernel twin of the query engine's `X·Qᵀ` kernel for the full
     /// sweep (walks raw adjacency: add-then-scale, exactly the seed
-    /// kernel). `None` when `compress` is set — then the sweep shares the
-    /// query engine's compressed kernel.
+    /// kernel). `None` over an access backing, which has no full sweep.
     plain: Option<PlainRightMultiplier>,
     opts: AllPairsOptions,
 }
@@ -126,35 +104,23 @@ impl AllPairsEngine {
     }
 
     /// Builds an engine: precomputes `Q`/`Qᵀ`, the lattice coefficient
-    /// table, and the plain or edge-concentrated kernel — all shared by
-    /// every subsequent sweep.
+    /// table, and the plain kernel — all shared by every subsequent sweep.
     pub fn with_options(g: &DiGraph, params: SimStarParams, opts: AllPairsOptions) -> Self {
-        let qe_opts = QueryEngineOptions {
-            kind: opts.kind,
-            compress: opts.compress,
-            compress_options: opts.compress_options,
-            ..QueryEngineOptions::default()
-        };
+        let qe_opts = QueryEngineOptions { kind: opts.kind, ..QueryEngineOptions::default() };
         let qe = QueryEngine::with_options(g, params, qe_opts);
-        let plain = if opts.compress { None } else { Some(PlainRightMultiplier::new(g)) };
-        AllPairsEngine { qe, plain, opts }
+        AllPairsEngine { qe, plain: Some(PlainRightMultiplier::new(g)), opts }
     }
 
     /// Builds an engine over a random-access backing (e.g. an on-disk
     /// `.ssg` store) without materialising the CSR. Subset [`Self::rows`]
     /// and [`Self::top_k`] work as usual; the Geometric [`Self::full`]
     /// sweep needs the in-memory kernels and panics — load the graph fully
-    /// for the full matrix. `compress` is likewise rejected (edge
-    /// concentration needs the whole graph in memory).
+    /// for the full matrix.
     pub fn with_access(
         src: std::sync::Arc<dyn ssr_graph::NeighborAccess>,
         params: SimStarParams,
         opts: AllPairsOptions,
     ) -> Self {
-        assert!(
-            !opts.compress,
-            "edge concentration needs an in-memory graph; load the graph fully to compress"
-        );
         let qe_opts = QueryEngineOptions { kind: opts.kind, ..QueryEngineOptions::default() };
         let qe = QueryEngine::with_access(src, params, qe_opts);
         AllPairsEngine { qe, plain: None, opts }
@@ -175,22 +141,12 @@ impl AllPairsEngine {
         &self.opts
     }
 
-    /// What edge concentration bought (`None` without `compress`): the
-    /// footnote-15 ratio, compressed edge count, and resident bytes — so
-    /// memoization wins are visible without a benchmark run.
-    pub fn compression(&self) -> Option<SizeReport> {
-        self.qe.compressed_kernel().map(|k| k.compressed().size_report())
-    }
-
-    /// The kernel the full sweep applies (plain or memoized).
-    fn kernel(&self) -> &dyn RightMultiplier {
-        match &self.plain {
-            Some(k) => k,
-            None => self.qe.compressed_kernel().expect(
-                "the all-pairs full sweep needs an in-memory graph backing; \
-                 load the graph fully (or use rows()/top_k(), which stream)",
-            ),
-        }
+    /// The kernel the full sweep applies.
+    fn kernel(&self) -> &PlainRightMultiplier {
+        self.plain.as_ref().expect(
+            "the all-pairs full sweep needs an in-memory graph backing; \
+             load the graph fully (or use rows()/top_k(), which stream)",
+        )
     }
 
     /// Approximate resident bytes of the engine (graph backing plus
@@ -300,16 +256,6 @@ fn effective_threads(threads: usize) -> usize {
     }
 }
 
-/// Rows per block for the full sweep: explicit request, or ~4 blocks per
-/// worker rounded up to the wide lane width (self-balancing without
-/// drowning the queue in tiny blocks or ragged lane tails).
-fn pick_block_rows(rows: usize, threads: usize, requested: usize) -> usize {
-    if requested > 0 {
-        return requested;
-    }
-    rows.div_ceil(threads.max(1) * 4).div_ceil(LANES).max(1) * LANES
-}
-
 /// The block-parallel geometric fixed point over an arbitrary kernel:
 /// `K` iterations of `Ŝ ← (C/2)(Ŝ Qᵀ + (Ŝ Qᵀ)ᵀ) + (1−C)·I` from
 /// `Ŝ₀ = (1−C)·I`, with both the kernel application and the fused
@@ -320,7 +266,7 @@ fn pick_block_rows(rows: usize, threads: usize, requested: usize) -> usize {
 ///
 /// `threads = 0` uses [`ssr_linalg::available_threads`]; `block_rows = 0`
 /// picks the default split. Backs [`crate::geometric::iterate_with_kernel`]
-/// (and through it `iterate` / `iterate_memo` / `Memoized::run`).
+/// (and through it `iterate` / `Memoized::run`).
 pub(crate) fn sweep_full(
     kernel: &dyn RightMultiplier,
     params: &SimStarParams,
@@ -338,23 +284,10 @@ pub(crate) fn sweep_full(
     let mut p = Dense::zeros(n, n);
     let c2 = params.c / 2.0;
     let diag = 1.0 - params.c;
-    // Pool of per-worker lane buffers (`(xb, yb)`, each `n × LANES` f64):
-    // above the allocator's mmap threshold a fresh pair per block would
-    // cost a map + fault + unmap cycle each, repeated K·blocks times.
-    let lane_bufs: std::sync::Mutex<Vec<(Vec<f64>, Vec<f64>)>> = std::sync::Mutex::new(Vec::new());
+    let lane_bufs = LaneBuffers::default();
     for _ in 0..params.iterations {
         // Phase 1: P = Ŝ·Qᵀ, row-block-parallel through the lane kernel.
-        let s_ref = &s;
-        let bufs = &lane_bufs;
-        dispatch_row_blocks(p.as_mut_slice(), n, block, threads, |start_row, chunk| {
-            let (mut xb, mut yb) = bufs
-                .lock()
-                .expect("lane buffer pool poisoned")
-                .pop()
-                .unwrap_or_else(|| (vec![0.0; n * LANES], vec![0.0; n * LANES]));
-            apply_rows(kernel, s_ref, start_row, chunk, &mut xb, &mut yb);
-            bufs.lock().expect("lane buffer pool poisoned").push((xb, yb));
-        });
+        apply_row_blocks(kernel, &s, p.as_mut_slice(), block, threads, &lane_bufs);
         // Phase 2 (the scope above is the barrier — Pᵀ reads cross blocks):
         // Ŝ[i][j] = (P[i][j] + P[j][i])·(C/2), plus (1−C) on the diagonal.
         let p_ref = &p;
@@ -363,45 +296,6 @@ pub(crate) fn sweep_full(
         });
     }
     s
-}
-
-/// Lane width of the full sweep's kernel blocks. The transposed input
-/// block (`n × lanes` f64) must stay L2-resident — the kernel reads it at
-/// random per edge — which rules out wider blocks at realistic `n`
-/// (measured: 64 lanes at `n = 8k` is a 2× slowdown, not a win), so the
-/// sweep keeps the query paths' width.
-const LANES: usize = BLOCK;
-
-/// Computes rows `[start_row, start_row + chunk_rows)` of `X·Qᵀ` into
-/// `chunk`, [`LANES`] lanes at a time (transpose in, kernel, transpose
-/// out — the same lane layout as the query paths). `xb`/`yb` are pooled
-/// `n × LANES` scratch buffers with arbitrary prior contents.
-fn apply_rows(
-    kernel: &dyn RightMultiplier,
-    x: &Dense,
-    start_row: usize,
-    chunk: &mut [f64],
-    xb: &mut [f64],
-    yb: &mut [f64],
-) {
-    let n = x.cols();
-    let rows = chunk.len() / n;
-    let mut r = 0;
-    while r < rows {
-        let lanes = LANES.min(rows - r);
-        transpose_into(x, start_row + r, lanes, xb);
-        for v in yb[..n * lanes].iter_mut() {
-            *v = 0.0;
-        }
-        kernel.apply_block(xb, yb, lanes);
-        for i in 0..lanes {
-            let row = &mut chunk[(r + i) * n..(r + i + 1) * n];
-            for (xnode, o) in row.iter_mut().enumerate() {
-                *o = yb[xnode * lanes + i];
-            }
-        }
-        r += lanes;
-    }
 }
 
 /// Edge length of the square tiles the fused update reads `Pᵀ` through
@@ -500,19 +394,6 @@ mod tests {
     }
 
     #[test]
-    fn memoized_full_matches_plain() {
-        for g in graphs() {
-            let p = SimStarParams { c: 0.8, iterations: 5 };
-            let plain = AllPairsEngine::new(&g, p).full();
-            let opts = AllPairsOptions { compress: true, threads: 3, ..Default::default() };
-            let engine = AllPairsEngine::with_options(&g, p, opts);
-            let memo = engine.full();
-            assert!(plain.matrix().approx_eq(memo.matrix(), 1e-12));
-            assert!(engine.compression().is_some());
-        }
-    }
-
-    #[test]
     fn rows_match_full_matrix() {
         for g in graphs() {
             let p = SimStarParams { c: 0.7, iterations: 6 };
@@ -590,7 +471,6 @@ mod tests {
         let engine = AllPairsEngine::new(g, SimStarParams::default());
         assert_eq!(engine.rows(&[]).rows(), 0);
         assert!(engine.top_k(&[], 3).is_empty());
-        assert!(engine.compression().is_none());
     }
 
     #[test]

@@ -155,15 +155,6 @@ impl Memoized {
     }
 }
 
-/// Convenience: compress-and-run in one call.
-pub fn closed_form_memo(
-    g: &DiGraph,
-    params: &SimStarParams,
-    opts: &CompressOptions,
-) -> SimilarityMatrix {
-    Memoized::new(g, opts).run(params)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,7 +207,7 @@ mod tests {
         for g in small_graphs() {
             let p = SimStarParams { c: 0.7, iterations: 8 };
             let plain = closed_form(&g, &p);
-            let memo = closed_form_memo(&g, &p, &CompressOptions::default());
+            let memo = Memoized::new(&g, &CompressOptions::default()).run(&p);
             assert!(plain.matrix().approx_eq(memo.matrix(), 1e-12));
         }
     }

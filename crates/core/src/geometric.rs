@@ -138,15 +138,6 @@ impl Memoized {
     }
 }
 
-/// Convenience: compress-and-run in one call.
-pub fn iterate_memo(
-    g: &DiGraph,
-    params: &SimStarParams,
-    opts: &CompressOptions,
-) -> SimilarityMatrix {
-    Memoized::new(g, opts).run(params)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,7 +177,7 @@ mod tests {
         for g in small_graphs() {
             let p = SimStarParams { c: 0.6, iterations: 6 };
             let plain = iterate(&g, &p);
-            let memo = iterate_memo(&g, &p, &CompressOptions::default());
+            let memo = Memoized::new(&g, &CompressOptions::default()).run(&p);
             assert!(plain.matrix().approx_eq(memo.matrix(), 1e-12));
         }
     }

@@ -27,12 +27,13 @@
 //! of [`BLOCK`] *lanes*: the block is transposed into an `n × B` buffer so
 //! each adjacency index is read once per block and the inner loop becomes a
 //! contiguous `B`-wide vector add — the standard blocked-SpMM layout. Blocks
-//! are independent and are distributed over std scoped threads.
+//! are independent; [`apply_row_blocks`] distributes them over scoped
+//! threads for both [`RightMultiplier::apply_into`] and the all-pairs sweep.
 
 use ssr_compress::{compress, CompressOptions, CompressedGraph};
 use ssr_graph::{DiGraph, NeighborAccess};
-use ssr_linalg::{available_threads, Csr, Dense};
-use std::sync::Arc;
+use ssr_linalg::{available_threads, dispatch_row_blocks, Csr, Dense};
+use std::sync::{Arc, Mutex};
 
 /// Lanes per block. 16 f64 = two cache lines per accumulator row; large
 /// enough to amortise index reads, small enough to keep the transposed
@@ -62,104 +63,85 @@ pub trait RightMultiplier: Sync {
     /// Computes `Y = X · Qᵀ` into a caller-owned buffer. Every entry of
     /// `out` is overwritten (the buffer may hold stale data), so the query
     /// engine can ping-pong two batch buffers with no allocation on the hot
-    /// path.
+    /// path. Products under `2^20` additions run on the caller's thread.
     fn apply_into(&self, x: &Dense, out: &mut Dense) {
         assert_eq!(x.cols(), self.node_count(), "dimension mismatch");
         assert_eq!((out.rows(), out.cols()), (x.rows(), self.node_count()), "output shape");
         let rows = x.rows();
-        let n = self.node_count();
-        let threads = available_threads();
-        let n_blocks = rows.div_ceil(BLOCK).max(1);
-        if rows == 0 || n == 0 {
-            return;
-        }
-        if threads == 1 || n_blocks == 1 || rows * self.work_per_row() < 1 << 20 {
-            let mut xb = vec![0.0; n * BLOCK];
-            let mut yb = vec![0.0; n * BLOCK];
-            let mut r0 = 0;
-            while r0 < rows {
-                let lanes = BLOCK.min(rows - r0);
-                self.run_block(x, out, r0, lanes, &mut xb, &mut yb);
-                r0 += lanes;
-            }
-            return;
-        }
-        // Parallel: hand each worker a contiguous range of blocks.
-        let blocks_per = n_blocks.div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (t, chunk) in out.as_mut_slice().chunks_mut(blocks_per * BLOCK * n).enumerate() {
-                let start_row = t * blocks_per * BLOCK;
-                scope.spawn(move || {
-                    let mut xb = vec![0.0; n * BLOCK];
-                    let mut yb = vec![0.0; n * BLOCK];
-                    let chunk_rows = chunk.len() / n;
-                    let mut local = ChunkOut { data: chunk, n };
-                    let mut r = 0;
-                    while r < chunk_rows {
-                        let lanes = BLOCK.min(chunk_rows - r);
-                        transpose_into(x, start_row + r, lanes, &mut xb);
-                        for v in yb[..n * lanes].iter_mut() {
-                            *v = 0.0;
-                        }
-                        self.apply_block(&xb, &mut yb, lanes);
-                        local.write_back(&yb, r, lanes);
-                        r += lanes;
-                    }
-                });
-            }
-        });
+        let threads =
+            if rows * self.work_per_row() < PARALLEL_MIN_WORK { 1 } else { available_threads() };
+        let block = pick_block_rows(rows, threads, 0);
+        apply_row_blocks(self, x, out.as_mut_slice(), block, threads, &LaneBuffers::default());
     }
 }
 
-struct ChunkOut<'a> {
-    data: &'a mut [f64],
-    n: usize,
-}
+/// `rows · work_per_row` below which [`RightMultiplier::apply_into`] stays
+/// on the caller's thread: the product is too small to pay for spawning.
+const PARALLEL_MIN_WORK: usize = 1 << 20;
 
-impl ChunkOut<'_> {
-    /// Writes the `n × lanes` transposed block back as rows `r..r+lanes` of
-    /// the chunk.
-    fn write_back(&mut self, yb: &[f64], r: usize, lanes: usize) {
-        for i in 0..lanes {
-            let row = &mut self.data[(r + i) * self.n..(r + i + 1) * self.n];
-            for (xnode, out) in row.iter_mut().enumerate() {
-                *out = yb[xnode * lanes + i];
-            }
-        }
+/// Pool of per-worker lane buffers (`(xb, yb)`, each `n × BLOCK` f64).
+/// Above the allocator's mmap threshold a fresh pair per block would cost a
+/// map + fault + unmap cycle each, so callers that dispatch repeatedly (the
+/// all-pairs sweep, once per iteration) keep one pool for the whole run.
+pub(crate) type LaneBuffers = Mutex<Vec<(Vec<f64>, Vec<f64>)>>;
+
+/// Rows per dispatched block: an explicit request, or ~4 blocks per worker
+/// rounded up to [`BLOCK`] lanes (self-balancing without drowning the work
+/// queue in tiny blocks or ragged lane tails).
+pub(crate) fn pick_block_rows(rows: usize, threads: usize, requested: usize) -> usize {
+    if requested > 0 {
+        return requested;
     }
+    rows.div_ceil(threads.max(1) * 4).div_ceil(BLOCK).max(1) * BLOCK
 }
 
-/// Helper available to implementors: run one block serially.
-trait BlockRunner: RightMultiplier {
-    fn run_block(
-        &self,
-        x: &Dense,
-        out: &mut Dense,
-        r0: usize,
-        lanes: usize,
-        xb: &mut [f64],
-        yb: &mut [f64],
-    ) {
-        let n = self.node_count();
-        transpose_into(x, r0, lanes, xb);
-        for v in yb[..n * lanes].iter_mut() {
-            *v = 0.0;
-        }
-        self.apply_block(xb, yb, lanes);
-        for i in 0..lanes {
-            let row = out.row_mut(r0 + i);
-            for (xnode, o) in row.iter_mut().enumerate() {
-                *o = yb[xnode * lanes + i];
+/// Computes `Y = X · Qᵀ` into `out` (row-major `x.rows() × n`, every entry
+/// overwritten): rows split into blocks of `block_rows` dispatched over up
+/// to `threads` workers ([`dispatch_row_blocks`]), each block run [`BLOCK`]
+/// lanes at a time — transpose in, kernel, transpose out — through buffers
+/// popped from `bufs`.
+///
+/// The lane width stays [`BLOCK`] even for the all-pairs sweep: the
+/// transposed input block (`n × lanes` f64) must stay L2-resident, since
+/// the kernel reads it at random per edge (measured: 64 lanes at `n = 8k`
+/// is a 2× slowdown). A lane's arithmetic does not depend on which rows
+/// share its block, so `block_rows` and `threads` change scheduling, never
+/// bits.
+pub(crate) fn apply_row_blocks<K: RightMultiplier + ?Sized>(
+    kernel: &K,
+    x: &Dense,
+    out: &mut [f64],
+    block_rows: usize,
+    threads: usize,
+    bufs: &LaneBuffers,
+) {
+    let n = x.cols();
+    dispatch_row_blocks(out, n, block_rows, threads, |start_row, chunk| {
+        let (mut xb, mut yb) = bufs
+            .lock()
+            .expect("lane buffer pool poisoned")
+            .pop()
+            .unwrap_or_else(|| (vec![0.0; n * BLOCK], vec![0.0; n * BLOCK]));
+        let rows = chunk.len() / n;
+        let mut r = 0;
+        while r < rows {
+            let lanes = BLOCK.min(rows - r);
+            transpose_into(x, start_row + r, lanes, &mut xb);
+            yb[..n * lanes].fill(0.0);
+            kernel.apply_block(&xb, &mut yb, lanes);
+            for (i, row) in chunk[r * n..(r + lanes) * n].chunks_exact_mut(n).enumerate() {
+                for (xnode, o) in row.iter_mut().enumerate() {
+                    *o = yb[xnode * lanes + i];
+                }
             }
+            r += lanes;
         }
-    }
+        bufs.lock().expect("lane buffer pool poisoned").push((xb, yb));
+    });
 }
-
-impl<T: RightMultiplier + ?Sized> BlockRunner for T {}
 
 /// `xb[y·lanes + i] = x[r0+i][y]` — gathers `lanes` rows lane-contiguously.
-/// Shared with the all-pairs engine's own block dispatch.
-pub(crate) fn transpose_into(x: &Dense, r0: usize, lanes: usize, xb: &mut [f64]) {
+fn transpose_into(x: &Dense, r0: usize, lanes: usize, xb: &mut [f64]) {
     for i in 0..lanes {
         let row = x.row(r0 + i);
         for (y, &v) in row.iter().enumerate() {
@@ -743,23 +725,23 @@ mod tests {
         assert!(via_qt.approx_eq(&reference, 1e-12));
     }
 
+    fn inv_in_of(g: &DiGraph) -> Arc<Vec<f64>> {
+        Arc::new(
+            g.nodes()
+                .map(|v| match g.in_degree(v) {
+                    0 => 0.0,
+                    d => 1.0 / d as f64,
+                })
+                .collect(),
+        )
+    }
+
     #[test]
     fn access_kernels_match_csr_kernels() {
         let g = fig1_like();
         let n = g.node_count();
         let q = Csr::backward_transition(&g);
-        let inv_in: Arc<Vec<f64>> = Arc::new(
-            (0..n as u32)
-                .map(|v| {
-                    let d = g.in_degree(v);
-                    if d == 0 {
-                        0.0
-                    } else {
-                        1.0 / d as f64
-                    }
-                })
-                .collect(),
-        );
+        let inv_in = inv_in_of(&g);
         let src: Arc<dyn NeighborAccess> = Arc::new(g.clone());
         let aq = AccessRightMultiplier::q(src.clone(), inv_in.clone());
         let aqt = AccessRightMultiplier::q_transpose(src, inv_in);
@@ -786,10 +768,7 @@ mod tests {
         assert!(dirty.approx_eq(&clean, 0.0));
     }
 
-    #[test]
-    fn larger_graph_parallel_path_consistent() {
-        // Enough rows*work to trip the parallel path; result must equal the
-        // CSR reference exactly.
+    fn graph_300() -> DiGraph {
         let mut edges = Vec::new();
         let mut s = 7u64;
         for _ in 0..3000 {
@@ -801,7 +780,13 @@ mod tests {
                 edges.push((u, v));
             }
         }
-        let g = DiGraph::from_edges(300, &edges).unwrap();
+        DiGraph::from_edges(300, &edges).unwrap()
+    }
+
+    #[test]
+    fn larger_graph_parallel_path_consistent() {
+        // Result must equal the CSR reference exactly.
+        let g = graph_300();
         let x = random_dense(300, 300, 11);
         let plain = PlainRightMultiplier::new(&g);
         let q = Csr::backward_transition(&g);
@@ -809,5 +794,35 @@ mod tests {
         assert!(plain.apply(&x).approx_eq(&reference, 1e-10));
         let memo = CompressedRightMultiplier::new(&g, &CompressOptions::default());
         assert!(memo.apply(&x).approx_eq(&reference, 1e-10));
+    }
+
+    #[test]
+    fn rows_are_independent_of_block_grouping() {
+        // Each lane's arithmetic is the same whichever rows share its block:
+        // the whole product equals, bit for bit, the product of every
+        // 1-row slice, and any block split or thread count.
+        let g = graph_300();
+        let n = g.node_count();
+        let q = Csr::backward_transition(&g);
+        let src: Arc<dyn NeighborAccess> = Arc::new(g.clone());
+        let kernels: Vec<Box<dyn RightMultiplier>> = vec![
+            Box::new(PlainRightMultiplier::new(&g)),
+            Box::new(CompressedRightMultiplier::new(&g, &CompressOptions::default())),
+            Box::new(CsrRightMultiplier::new(q.transpose())),
+            Box::new(AccessRightMultiplier::q(src, inv_in_of(&g))),
+        ];
+        let x = random_dense(n, n, 12);
+        for (k, kernel) in kernels.iter().enumerate() {
+            let whole = kernel.apply(&x);
+            for r in 0..n {
+                let mut one = Dense::zeros(1, n);
+                one.row_mut(0).copy_from_slice(x.row(r));
+                assert_eq!(kernel.apply(&one).row(0), whole.row(r), "kernel {k}, row {r}");
+            }
+            let mut split = Dense::zeros(n, n);
+            let bufs = LaneBuffers::default();
+            apply_row_blocks(kernel.as_ref(), &x, split.as_mut_slice(), 5, 2, &bufs);
+            assert_eq!(split.as_slice(), whole.as_slice(), "kernel {k}, 5-row blocks");
+        }
     }
 }

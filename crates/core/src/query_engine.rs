@@ -6,9 +6,8 @@
 //! dense `n`-vectors, and allocated fresh buffers per step.
 //! [`QueryEngine`] amortizes and restructures all of that:
 //!
-//! * **Precomputed state** — `Q` and `Qᵀ` (and, opt-in, the
-//!   edge-concentrated kernel from `ssr-compress`) are built once per graph
-//!   and shared by every query.
+//! * **Precomputed state** — `Q` and `Qᵀ` are built once per graph and
+//!   shared by every query.
 //! * **Two-pass Horner sweep** — the lattice
 //!   `Σ_θ Σ_λ c[θ][λ]·u_θ(Qᵀ)^λ` is re-associated as `Σ_λ V_λ(Qᵀ)^λ`
 //!   with `V_λ = Σ_θ c[θ][λ]·u_θ`: a forward pass advances
@@ -39,12 +38,9 @@
 //! which the property tests pin against `geometric::iterate` rows
 //! (Lemma 4).
 
-use crate::kernel::{
-    AccessRightMultiplier, CompressedRightMultiplier, CsrRightMultiplier, RightMultiplier, BLOCK,
-};
+use crate::kernel::{AccessRightMultiplier, CsrRightMultiplier, RightMultiplier, BLOCK};
 use crate::series::{exponential_weights, geometric_weights, lattice_coeffs};
 use crate::SimStarParams;
-use ssr_compress::CompressOptions;
 use ssr_graph::components::{weakly_connected_components, weakly_connected_components_from_edges};
 use ssr_graph::{DiGraph, NeighborAccess, NodeId};
 use ssr_linalg::{Csr, Dense};
@@ -67,13 +63,6 @@ pub enum SeriesKind {
 pub struct QueryEngineOptions {
     /// Series the engine evaluates (geometric by default).
     pub kind: SeriesKind,
-    /// Run the Horner pass's dense step over the edge-concentrated graph
-    /// (Algorithm 1's memoization) instead of raw adjacency. Compression is
-    /// a preprocessing phase — the paper times it separately — so it runs
-    /// eagerly at engine construction.
-    pub compress: bool,
-    /// Compression options used when `compress` is set.
-    pub compress_options: CompressOptions,
     /// Batch-composition-independent arithmetic: every query produces the
     /// same bits whether it runs alone, in any batch, or next to any other
     /// lanes. The sweep stays on the sparse path (no dense fallback), active
@@ -89,10 +78,10 @@ pub struct QueryEngineOptions {
 
 impl QueryEngineOptions {
     /// A stable 64-bit key over every option that can change query
-    /// *results* (series kind, compression, determinism). Unlike `Hash`,
-    /// the value is fixed across processes and releases of the standard
-    /// library, so it is safe to persist or to key a result cache shared
-    /// between runs. Combine with [`SimStarParams::stable_key`] for a full
+    /// *results* (series kind, determinism). Unlike `Hash`, the value is
+    /// fixed across processes and releases of the standard library, so it
+    /// is safe to persist or to key a result cache shared between runs.
+    /// Combine with [`SimStarParams::stable_key`] for a full
     /// result-identity key.
     pub fn stable_key(&self) -> u64 {
         let mut h = crate::params::fnv1a(crate::params::Fnv1a::BASIS);
@@ -100,7 +89,6 @@ impl QueryEngineOptions {
             SeriesKind::Geometric => 1,
             SeriesKind::Exponential => 2,
         });
-        h = h.push(self.compress as u64);
         h = h.push(self.deterministic as u64);
         h.0
     }
@@ -492,10 +480,6 @@ pub struct QueryEngine {
     theta_tail: Vec<f64>,
     params: SimStarParams,
     opts: QueryEngineOptions,
-    /// The edge-concentrated `X·Qᵀ` kernel that replaces the Horner pass's
-    /// dense step when built with `compress` (built eagerly: compression is
-    /// a preprocessing phase the paper times separately).
-    compressed: Option<CompressedRightMultiplier>,
     /// Weakly-connected component label per node: the batched path groups
     /// queries by component so the lanes of a chunk share frontier support
     /// (lanes outside a node's component are provably zero — packing
@@ -515,14 +499,12 @@ impl QueryEngine {
         Self::with_options(g, params, QueryEngineOptions::default())
     }
 
-    /// Builds an engine, precomputing `Q`, `Qᵀ`, the lattice coefficient
-    /// table, and (if `opts.compress`) the edge-concentrated kernel.
+    /// Builds an engine, precomputing `Q`, `Qᵀ` and the lattice coefficient
+    /// table.
     pub fn with_options(g: &DiGraph, params: SimStarParams, opts: QueryEngineOptions) -> Self {
         params.validate();
         let q = Csr::backward_transition(g);
         let qt = q.transpose();
-        let compressed =
-            opts.compress.then(|| CompressedRightMultiplier::new(g, &opts.compress_options));
         let (coeffs, theta_tail) = coeff_table(&params, opts.kind);
         QueryEngine {
             n: g.node_count(),
@@ -534,7 +516,6 @@ impl QueryEngine {
             theta_tail,
             params,
             opts,
-            compressed,
             component: weakly_connected_components(g).label,
             scratch: Mutex::new(Vec::new()),
             block_scratch: Mutex::new(Vec::new()),
@@ -553,19 +534,12 @@ impl QueryEngine {
     /// **bit-identical** to it: both backings push the same weights in the
     /// same ascending-id order, so the floating-point accumulation order
     /// coincides exactly.
-    ///
-    /// `opts.compress` is incompatible with access backings (edge
-    /// concentration needs the materialised graph) and panics.
     pub fn with_access(
         src: Arc<dyn NeighborAccess>,
         params: SimStarParams,
         opts: QueryEngineOptions,
     ) -> Self {
         params.validate();
-        assert!(
-            !opts.compress,
-            "edge concentration needs an in-memory graph; load the graph fully to compress"
-        );
         let n = src.node_count();
         let inv_in: Arc<Vec<f64>> = Arc::new(
             (0..n as u32)
@@ -601,7 +575,6 @@ impl QueryEngine {
             theta_tail,
             params,
             opts,
-            compressed: None,
             component,
             scratch: Mutex::new(Vec::new()),
             block_scratch: Mutex::new(Vec::new()),
@@ -622,9 +595,9 @@ impl QueryEngine {
 
     /// Bytes of graph-proportional state this engine holds resident: the
     /// backing (both CSR matrices, or the access source's own accounting
-    /// plus the `O(n)` weight vector), the component labels, and the
-    /// compressed kernel. Scratch pools and coefficient tables (`O(K²)`)
-    /// are excluded — they are query-, not graph-, proportional.
+    /// plus the `O(n)` weight vector) and the component labels. Scratch
+    /// pools and coefficient tables (`O(K²)`) are excluded — they are
+    /// query-, not graph-, proportional.
     pub fn resident_bytes(&self) -> usize {
         let backing = match &self.backing {
             Backing::Memory { q, qt } => {
@@ -633,8 +606,7 @@ impl QueryEngine {
             // Both kernels share one source and one weight vector.
             Backing::Access { q, .. } => q.resident_bytes(),
         };
-        let kernels = self.compressed.as_ref().map_or(0, |k| k.compressed().estimated_bytes());
-        backing + kernels + self.component.len() * std::mem::size_of::<u32>()
+        backing + self.component.len() * std::mem::size_of::<u32>()
     }
 
     /// The parameters the engine was built with.
@@ -650,11 +622,6 @@ impl QueryEngine {
     /// Frozen lifetime work counters — see [`EngineStatsSnapshot`].
     pub fn stats(&self) -> EngineStatsSnapshot {
         self.stats.snapshot()
-    }
-
-    /// Compression ratio of the Horner-pass kernel (0 when not compressed).
-    pub fn compression_ratio(&self) -> f64 {
-        self.compressed.as_ref().map_or(0.0, |k| k.compression_ratio())
     }
 
     /// Single-source scores `ŝ(q, ·)` as a fresh vector.
@@ -883,32 +850,18 @@ impl QueryEngine {
 
     /// The forward (`u ← u·Q`) and Horner (`r ← r·Qᵀ`) advance directions.
     /// `Q`'s rows are pushed with the `X·Qᵀ` kernel's matrix and densify
-    /// into the `X·Q` kernel, and vice versa; with `compress`, the
-    /// edge-concentrated kernel takes over the Horner dense step.
+    /// into the `X·Q` kernel, and vice versa.
     fn directions(&self) -> (Direction<'_>, Direction<'_>) {
         match &self.backing {
             Backing::Memory { q, qt } => (
                 Direction { rows: Rows::Csr(q.matrix()), dense: qt },
-                Direction {
-                    rows: Rows::Csr(qt.matrix()),
-                    dense: match &self.compressed {
-                        Some(k) => k,
-                        None => q,
-                    },
-                },
+                Direction { rows: Rows::Csr(qt.matrix()), dense: q },
             ),
             Backing::Access { q, qt } => (
                 Direction { rows: Rows::Access(q), dense: qt },
                 Direction { rows: Rows::Access(qt), dense: q },
             ),
         }
-    }
-
-    /// The edge-concentrated kernel, when the engine was built with
-    /// `compress` (shared with the all-pairs engine so compression runs
-    /// once per graph).
-    pub(crate) fn compressed_kernel(&self) -> Option<&CompressedRightMultiplier> {
-        self.compressed.as_ref()
     }
 }
 
@@ -1175,17 +1128,14 @@ mod tests {
 
     #[test]
     fn batched_rows_match_single_queries() {
-        for compress in [false, true] {
-            for g in graphs() {
-                let p = SimStarParams { c: 0.7, iterations: 5 };
-                let opts = QueryEngineOptions { compress, ..Default::default() };
-                let engine = QueryEngine::with_options(&g, p, opts);
-                let queries: Vec<NodeId> = (0..g.node_count() as NodeId).rev().collect();
-                let batch = engine.query_batch(&queries);
-                for (i, &q) in queries.iter().enumerate() {
-                    let dense = single_source_dense(&g, q, &p);
-                    assert_rows_close(batch.row(i), &dense, 1e-10, "batch");
-                }
+        for g in graphs() {
+            let p = SimStarParams { c: 0.7, iterations: 5 };
+            let engine = QueryEngine::new(&g, p);
+            let queries: Vec<NodeId> = (0..g.node_count() as NodeId).rev().collect();
+            let batch = engine.query_batch(&queries);
+            for (i, &q) in queries.iter().enumerate() {
+                let dense = single_source_dense(&g, q, &p);
+                assert_rows_close(batch.row(i), &dense, 1e-10, "batch");
             }
         }
     }
@@ -1359,16 +1309,6 @@ mod tests {
         assert_ne!(det.stable_key(), exp.stable_key());
     }
 
-    #[test]
-    fn compression_ratio_reported() {
-        // K_{2,3} compresses; the plain engine reports zero.
-        let g = DiGraph::from_edges(5, &[(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]).unwrap();
-        let p = SimStarParams::default();
-        assert_eq!(QueryEngine::new(&g, p).compression_ratio(), 0.0);
-        let opts = QueryEngineOptions { compress: true, ..Default::default() };
-        assert!(QueryEngine::with_options(&g, p, opts).compression_ratio() > 0.0);
-    }
-
     fn access_of(g: &DiGraph) -> Arc<dyn NeighborAccess> {
         Arc::new(g.clone())
     }
@@ -1399,7 +1339,7 @@ mod tests {
             let p = SimStarParams { c: 0.6, iterations: 6 };
             for kind in [SeriesKind::Geometric, SeriesKind::Exponential] {
                 for deterministic in [false, true] {
-                    let opts = QueryEngineOptions { kind, deterministic, ..Default::default() };
+                    let opts = QueryEngineOptions { kind, deterministic };
                     let mem = QueryEngine::with_options(&g, p, opts.clone());
                     let acc = QueryEngine::with_access(access_of(&g), p, opts);
                     let (dense_steps, solo, batch) = dense_steps_per_width(&acc);
@@ -1435,13 +1375,5 @@ mod tests {
         let mem = QueryEngine::new(&g, p);
         assert!(acc.resident_bytes() > 0);
         assert!(mem.resident_bytes() > 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "edge concentration")]
-    fn access_backing_rejects_compression() {
-        let g = graphs().remove(0);
-        let opts = QueryEngineOptions { compress: true, ..Default::default() };
-        let _ = QueryEngine::with_access(access_of(&g), SimStarParams::default(), opts);
     }
 }

@@ -61,27 +61,20 @@ proptest! {
         }
     }
 
-    /// Batched rows (plain and compressed lane kernels) == dense sweep ==
-    /// all-pairs rows.
+    /// Batched rows == dense sweep == all-pairs rows.
     #[test]
     fn batched_matches_dense_and_matrix((n, edges, _q) in arb_graph_and_query(14, 50)) {
         let g = build(n, &edges);
         let p = SimStarParams { c: 0.7, iterations: 5 };
         let full = geometric::iterate(&g, &p);
         let queries: Vec<NodeId> = (0..n as NodeId).collect();
-        for compress in [false, true] {
-            let opts = QueryEngineOptions { compress, ..Default::default() };
-            let engine = QueryEngine::with_options(&g, p, opts);
-            let batch = engine.query_batch(&queries);
-            for (i, &q) in queries.iter().enumerate() {
-                let dense = single_source_dense(&g, q, &p);
-                let row = batch.row(i);
-                for v in 0..n {
-                    prop_assert!((row[v] - dense[v]).abs() < 1e-10,
-                        "compress={compress}, q={q}, v={v}");
-                    prop_assert!((row[v] - full.score(q, v as NodeId)).abs() < 1e-10,
-                        "compress={compress}, q={q}, v={v}");
-                }
+        let batch = QueryEngine::new(&g, p).query_batch(&queries);
+        for (i, &q) in queries.iter().enumerate() {
+            let dense = single_source_dense(&g, q, &p);
+            let row = batch.row(i);
+            for v in 0..n {
+                prop_assert!((row[v] - dense[v]).abs() < 1e-10, "q={q}, v={v}");
+                prop_assert!((row[v] - full.score(q, v as NodeId)).abs() < 1e-10, "q={q}, v={v}");
             }
         }
     }

@@ -34,12 +34,9 @@ use std::time::Instant;
 /// Configuration of a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServerOptions {
-    /// SimRank\* parameters every snapshot is built with.
+    /// SimRank\* parameters every snapshot is built with (the engine runs
+    /// in deterministic mode — see [`EpochStore::new`]).
     pub params: SimStarParams,
-    /// Engine options (deterministic mode is forced on by the epoch
-    /// store regardless of what this says — see
-    /// [`EpochStore::new`]).
-    pub engine: QueryEngineOptions,
     /// Total result-cache entries (0 disables the cache).
     pub cache_capacity: usize,
     /// Number of cache shards.
@@ -64,7 +61,6 @@ impl Default for ServerOptions {
     fn default() -> Self {
         ServerOptions {
             params: SimStarParams::default(),
-            engine: QueryEngineOptions::default(),
             cache_capacity: 4096,
             cache_shards: 8,
             batch: BatcherOptions::default(),
@@ -231,7 +227,7 @@ impl Server {
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind((host, port))?;
         let addr = listener.local_addr()?;
-        let store = Arc::new(EpochStore::new(graph, opts.params, opts.engine.clone()));
+        let store = Arc::new(EpochStore::new(graph, opts.params, QueryEngineOptions::default()));
         let cache = Arc::new(ShardedCache::new(opts.cache_capacity, opts.cache_shards));
         let metrics = Arc::new(ServeMetrics::new());
         metrics.set_slow_query_us(opts.slow_query_us);

@@ -1,10 +1,12 @@
 //! All-pairs ranking through the block-parallel `AllPairsEngine`:
-//! full-matrix sweep, memoized (edge-concentrated) kernel, partial-pairs
-//! rows, and streaming top-k — on a synthetic citation graph.
+//! full-matrix sweep, partial-pairs rows, and streaming top-k — plus the
+//! same full sweep memoized (memo-gSR\*, `geometric::Memoized`) — on a
+//! synthetic citation graph.
 //!
 //! Run with: `cargo run --release --example all_pairs_ranking`
 
-use simrank_star::{geometric, AllPairsEngine, AllPairsOptions, SimStarParams};
+use simrank_star::{geometric, AllPairsEngine, SimStarParams};
+use ssr_compress::CompressOptions;
 use ssr_gen::citation::{citation_graph, CitationParams};
 
 fn main() {
@@ -19,13 +21,9 @@ fn main() {
 
     // The same scores through the memoized kernel — with the compression
     // report that makes the speedup legible.
-    let memo_engine = AllPairsEngine::with_options(
-        &g,
-        params,
-        AllPairsOptions { compress: true, ..Default::default() },
-    );
-    let memo = memo_engine.full();
-    let stats = memo_engine.compression().expect("compressed engine reports stats");
+    let memoized = geometric::Memoized::new(&g, &CompressOptions::default());
+    let memo = memoized.run(&params);
+    let stats = memoized.kernel().compressed().size_report();
     println!(
         "memoized sweep: max diff = {:.2e}, compression {:.1}% (m {} -> m~ {}, {} concentrators, {} bytes)",
         full.max_diff(&memo),

@@ -38,7 +38,7 @@ proptest! {
     fn memo_equals_iter(g in arb_graph(16, 60), k in 1usize..7) {
         let p = SimStarParams { c: 0.6, iterations: k };
         let plain = geometric::iterate(&g, &p);
-        let memo = geometric::iterate_memo(&g, &p, &CompressOptions::default());
+        let memo = geometric::Memoized::new(&g, &CompressOptions::default()).run(&p);
         prop_assert!(plain.matrix().approx_eq(memo.matrix(), 1e-11));
     }
 
@@ -47,7 +47,7 @@ proptest! {
     fn memo_exponential_equals_plain(g in arb_graph(14, 50), k in 1usize..7) {
         let p = SimStarParams { c: 0.6, iterations: k };
         let plain = exponential::closed_form(&g, &p);
-        let memo = exponential::closed_form_memo(&g, &p, &CompressOptions::default());
+        let memo = exponential::Memoized::new(&g, &CompressOptions::default()).run(&p);
         prop_assert!(plain.matrix().approx_eq(memo.matrix(), 1e-11));
     }
 
